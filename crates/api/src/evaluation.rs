@@ -82,10 +82,13 @@ impl Factorized {
     }
 
     /// The uniform [`Evaluation::metrics`] list derived from these
-    /// artifacts plus the defactorizer's peak intermediate size. Both the
-    /// pipeline path and view-served evaluations build their metrics here,
-    /// so the two can never drift apart.
-    pub fn metrics(&self, peak_intermediate: u64) -> Vec<(&'static str, u64)> {
+    /// artifacts plus the defactorizer's peak intermediate size and the
+    /// number of query edges phase two joined (`cover_patterns`: fewer than
+    /// `plan_order.len()` when a `DISTINCT` projection let it join only the
+    /// sub-tree the SELECT list spans; `0` when nothing was joined at all).
+    /// Both the pipeline path and view-served evaluations build their
+    /// metrics here, so the two can never drift apart.
+    pub fn metrics(&self, peak_intermediate: u64, cover_patterns: u64) -> Vec<(&'static str, u64)> {
         vec![
             ("edge_walks", self.edge_walks),
             ("answer_graph_edges", self.answer_graph_edges as u64),
@@ -93,6 +96,7 @@ impl Factorized {
             ("nodes_burned", self.nodes_burned),
             ("edge_burnback_removed", self.edge_burnback_removed as u64),
             ("peak_intermediate", peak_intermediate),
+            ("cover_patterns", cover_patterns),
         ]
     }
 }

@@ -156,6 +156,18 @@ pub trait MaintainedView: Send + Sync + std::fmt::Debug {
         false
     }
 
+    /// Whether this view can retain a top-k prefix at all — a property of
+    /// the query shape, fixed for the view's lifetime. `false` (the default)
+    /// tells serving layers never to attempt [`prime_prefix`]: a bounded hit
+    /// goes straight to [`evaluate_limited`] with no exclusive access to the
+    /// view and no copy of it.
+    ///
+    /// [`evaluate_limited`]: MaintainedView::evaluate_limited
+    /// [`prime_prefix`]: MaintainedView::prime_prefix
+    fn prefix_capable(&self) -> bool {
+        false
+    }
+
     /// Cumulative maintenance history (stamped into served evaluations).
     fn info(&self) -> MaintenanceInfo;
 

@@ -6,6 +6,14 @@
 //! paper); over a non-ideal AG or a cyclic query the order matters for cost,
 //! so a greedy plan driven by the exact per-edge counts gathered in phase one
 //! is used.
+//!
+//! The same fact makes phase two **projection-aware**. Every answer edge of
+//! an ideal AG lies in at least one embedding, so `SELECT DISTINCT` over a
+//! subset of the variables is exactly the join of the answer edges on the
+//! sub-tree of the query tree that spans them — the *cover*
+//! ([`projection_cover`]). [`answer`], the one phase-two entry every
+//! wireframe path funnels through, joins the cover alone and never
+//! enumerates the embeddings the SELECT list would throw away.
 
 use std::collections::HashMap;
 
@@ -15,6 +23,7 @@ use wireframe_query::{ConjunctiveQuery, EmbeddingSet, Term, Var};
 
 use crate::answer_graph::{AnswerGraph, PatternEdges};
 use crate::error::EngineError;
+use crate::parallel::{join_parallel, ParallelOptions};
 
 /// A sorted-slice join index over one pattern's answer edges: CSR-style
 /// `keys`/`offsets`/`values` arrays in both directions, snapshotted once per
@@ -54,6 +63,20 @@ fn group_sorted(pairs: &[(NodeId, NodeId)]) -> (Vec<NodeId>, Vec<u32>, Vec<NodeI
 impl JoinIndex {
     pub(crate) fn build(edges: &PatternEdges) -> Self {
         JoinIndex::from_pairs(edges.iter().collect())
+    }
+
+    /// One index per pattern of `ag`, built for the patterns in `order`
+    /// only; a pattern the join never visits keeps an empty placeholder.
+    pub(crate) fn build_for(ag: &AnswerGraph, order: &[usize]) -> Vec<JoinIndex> {
+        (0..ag.num_patterns())
+            .map(|q| {
+                if order.contains(&q) {
+                    JoinIndex::build(ag.pattern(q))
+                } else {
+                    JoinIndex::default()
+                }
+            })
+            .collect()
     }
 
     /// Builds the index directly from an edge list (used by the parallel
@@ -127,41 +150,145 @@ pub struct DefactorizationStats {
 
 /// Chooses a join order for phase two: connected, smallest answer-edge set
 /// first (greedy on the exact statistics the answer graph provides).
-#[allow(clippy::needless_range_loop)] // `i` is the pattern id being chosen
 pub fn embedding_plan(query: &ConjunctiveQuery, ag: &AnswerGraph) -> Vec<usize> {
-    let n = query.num_patterns();
-    let mut order = Vec::with_capacity(n);
-    let mut used = vec![false; n];
-    for _ in 0..n {
-        let mut best: Option<usize> = None;
-        for i in 0..n {
-            if used[i] {
-                continue;
-            }
-            let connected = order.is_empty()
-                || query.patterns()[i].variables().any(|v| {
-                    order
-                        .iter()
-                        .any(|&j: &usize| query.patterns()[j].mentions(v))
-                });
-            if !connected {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some(b) => ag.edge_count(i) < ag.edge_count(b),
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        // A disconnected remainder can only happen for disconnected queries,
-        // which the engine rejects earlier; fall back to any unused pattern.
-        let pick = best.unwrap_or_else(|| (0..n).find(|&i| !used[i]).expect("pattern left"));
-        used[pick] = true;
-        order.push(pick);
+    let all: Vec<usize> = (0..query.num_patterns()).collect();
+    plan_over(query, ag, &all)
+}
+
+/// [`embedding_plan`] restricted to the query edges in `patterns` (a
+/// [`projection_cover`]; connected, so the greedy walk never has to jump).
+fn plan_over(query: &ConjunctiveQuery, ag: &AnswerGraph, patterns: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = Vec::with_capacity(patterns.len());
+    let mut rest: Vec<usize> = patterns.to_vec();
+    while !rest.is_empty() {
+        let connected = |i: usize| {
+            order.is_empty()
+                || query.patterns()[i]
+                    .variables()
+                    .any(|v| order.iter().any(|&j| query.patterns()[j].mentions(v)))
+        };
+        // Ties keep the lowest pattern id (`min_by_key` returns the first
+        // minimum of an ascending list). A disconnected remainder can only
+        // happen for disconnected queries, which the engine rejects
+        // earlier; fall back to any unused pattern.
+        let at = (0..rest.len())
+            .filter(|&at| connected(rest[at]))
+            .min_by_key(|&at| ag.edge_count(rest[at]))
+            .unwrap_or(0);
+        order.push(rest.remove(at));
     }
     order
+}
+
+/// Whether the SELECT list keeps every variable of `query`. Then the
+/// projected rows are bijective with the embeddings: nothing for the cover
+/// to skip, and the shape a maintained top-k prefix needs.
+pub(crate) fn selects_every_variable(query: &ConjunctiveQuery) -> bool {
+    query.variables().all(|v| query.projection().contains(&v))
+}
+
+/// The query edges phase two has to join to answer `query`'s SELECT list
+/// (ascending pattern ids) — the **cover**.
+///
+/// `ideal` says the answer graph is the node-burnback fixpoint of an
+/// *acyclic* query, where every answer edge extends to a full embedding
+/// (the paper's ideal AG; Yannakakis' global consistency). Only then, and
+/// only for a `DISTINCT` list that drops variables, is the cover smaller
+/// than the query: the var–var patterns left after repeatedly pruning leaf
+/// variables that are not selected, i.e. the sub-tree of the query tree
+/// spanning the selected variables. Var–const patterns are filters burnback
+/// has already enforced on the node sets and never belong to it; a
+/// single-variable list prunes everything (that variable's node set *is*
+/// the answer). Everything else — cyclic or edge-burnback answer graphs,
+/// bag projections (multiplicities count the dropped bindings), full SELECT
+/// lists — joins every pattern.
+pub(crate) fn projection_cover(query: &ConjunctiveQuery, ideal: bool) -> Vec<usize> {
+    let patterns = query.patterns();
+    if !ideal || !query.distinct() || query.projection().is_empty() || selects_every_variable(query)
+    {
+        return (0..patterns.len()).collect();
+    }
+    let mut cover: Vec<usize> = (0..patterns.len())
+        .filter(|&q| patterns[q].variables().count() == 2)
+        .collect();
+    let mut degree = vec![0usize; query.num_vars()];
+    for &q in &cover {
+        for v in patterns[q].variables() {
+            degree[v.index()] += 1;
+        }
+    }
+    let unselected_leaf =
+        |v: Var, degree: &[usize]| degree[v.index()] == 1 && !query.projection().contains(&v);
+    while let Some(at) = cover
+        .iter()
+        .position(|&q| patterns[q].variables().any(|v| unselected_leaf(v, &degree)))
+    {
+        for v in patterns[cover.remove(at)].variables() {
+            degree[v.index()] -= 1;
+        }
+    }
+    cover
+}
+
+/// The variables the patterns of `order` bind, ascending — the schema of a
+/// join over `order` (every query variable for a full order).
+pub(crate) fn bound_variables(query: &ConjunctiveQuery, order: &[usize]) -> Vec<Var> {
+    let mut vars: Vec<Var> = order
+        .iter()
+        .flat_map(|&q| query.patterns()[q].variables())
+        .collect();
+    vars.sort_unstable();
+    vars.dedup();
+    vars
+}
+
+/// Phase two as every wireframe path runs it — cold engine evaluation,
+/// retained-view hits and the sharded merged view: joins the
+/// [`projection_cover`] of `query` (every pattern unless `ideal` and the
+/// SELECT list allow less) on `threads` workers and applies the projection.
+/// One path: a smaller cover is the same join loop over a shorter order.
+pub(crate) fn answer(
+    query: &ConjunctiveQuery,
+    ag: &AnswerGraph,
+    ideal: bool,
+    threads: usize,
+) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
+    let cover = projection_cover(query, ideal);
+    let order = plan_over(query, ag, &cover);
+    let (joined, stats) = if order.is_empty() {
+        // Single-variable list: burnback keeps exactly the nodes that occur
+        // in some embedding, so the node set is the answer — nothing to join.
+        let busy = std::time::Instant::now();
+        let v = query.projection()[0];
+        debug_assert!(
+            query.projection().iter().all(|&p| p == v),
+            "two selected variables of a connected query share a path"
+        );
+        let nodes = ag.node_set(v).to_sorted_vec();
+        let stats = DefactorizationStats {
+            peak_intermediate: nodes.len(),
+            embeddings: nodes.len(),
+            cpu: busy.elapsed(),
+            ..DefactorizationStats::default()
+        };
+        (EmbeddingSet::from_flat(vec![v], nodes), stats)
+    } else if threads == 1 {
+        join(query, ag, &order)?
+    } else {
+        join_parallel(query, ag, order, &ParallelOptions::for_threads(threads))?
+    };
+    let embeddings = if cover.len() == query.num_patterns() {
+        joined.into_projected_set(query)
+    } else {
+        // The cover's rows are distinct over the cover's variables only;
+        // `project` sort-dedups the interior ones the SELECT list drops (and
+        // returns the rows sorted, as a DISTINCT answer always was).
+        joined.project(query)
+    };
+    let embeddings = embeddings.ok_or_else(|| {
+        EngineError::Internal("projection referenced a variable missing from the result".into())
+    })?;
+    Ok((embeddings, stats))
 }
 
 /// Generates the embeddings of `query` from its answer graph by joining the
@@ -179,20 +306,30 @@ pub fn defactorize(
             "embedding plan does not cover every query edge".into(),
         ));
     }
+    join(query, ag, order)
+}
+
+/// Joins the answer edges of the patterns in `order` — all of them, or a
+/// [`projection_cover`] — snapshotting a join index for those patterns only.
+pub(crate) fn join(
+    query: &ConjunctiveQuery,
+    ag: &AnswerGraph,
+    order: &[usize],
+) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
     let busy = std::time::Instant::now();
     // Sorted join indexes, snapshotted once per pattern and probed per tuple.
-    let indexes: Vec<JoinIndex> = (0..query.num_patterns())
-        .map(|q| JoinIndex::build(ag.pattern(q)))
-        .collect();
+    let indexes = JoinIndex::build_for(ag, order);
     let index_refs: Vec<&JoinIndex> = indexes.iter().collect();
     let (set, mut stats) = defactorize_indexed(query, &index_refs, order)?;
     stats.cpu = busy.elapsed();
     Ok((set, stats))
 }
 
-/// The join loop over prebuilt indexes. Exposed crate-internally so the
-/// parallel defactorizer can share the (identical) non-seed indexes across
-/// workers instead of rebuilding them per worker.
+/// The join loop over prebuilt indexes (`indexes[q]` is read for the
+/// patterns in `order` only). Emits the variables `order` binds, in index
+/// order — every query variable for a full order. Exposed crate-internally
+/// so the parallel defactorizer can share the (identical) non-seed indexes
+/// across workers instead of rebuilding them per worker.
 pub(crate) fn defactorize_indexed(
     query: &ConjunctiveQuery,
     indexes: &[&JoinIndex],
@@ -359,25 +496,14 @@ pub(crate) fn defactorize_indexed(
         }
     }
 
-    // Assemble the full schema: every query variable, in variable-index order.
-    // Variables that never got a column (possible only if every pattern
-    // mentioning them matched nothing) only occur when the result is empty.
-    // The output stays one flat row-major buffer end to end.
-    let schema: Vec<Var> = query.variables().collect();
+    // Assemble the schema: every variable the order binds, in variable-index
+    // order. After an early exit some never got a column, but then there is
+    // no row to gather. The output stays one flat row-major buffer end to end.
+    let schema = bound_variables(query, order);
     let mut out: Vec<NodeId> = Vec::with_capacity(count * schema.len());
     if count > 0 {
-        let mut col_of: Vec<usize> = Vec::with_capacity(query.num_vars());
-        for v in query.variables() {
-            match columns.get(&v) {
-                Some(&c) => col_of.push(c),
-                None => {
-                    return Err(EngineError::Internal(
-                        "a query variable was never bound during defactorization".into(),
-                    ))
-                }
-            }
-        }
-        if arity == col_of.len() && col_of.iter().enumerate().all(|(i, &c)| c == i) {
+        let col_of: Vec<usize> = schema.iter().map(|v| columns[v]).collect();
+        if col_of.iter().enumerate().all(|(i, &c)| c == i) {
             // Columns were bound in variable-index order: the arena already
             // is the answer — move it, no gather pass.
             out = data;
@@ -678,5 +804,137 @@ mod tests {
         let order = embedding_plan(&q, &ag);
         let (emb, _) = defactorize(&q, &ag, &order).unwrap();
         assert_eq!(emb.len(), 1, "only node 1 loops and has a B edge");
+    }
+
+    /// A snowflake with a constant end, shaped like the benchmark's
+    /// `warm_enumerate` queries: hub `?x`, arms `x — m — a` and `x — z — b`,
+    /// and a var–const filter on the hub. Every arm fans out.
+    fn snowflake_graph() -> Graph {
+        let mut b = GraphBuilder::new();
+        for x in 0..6 {
+            b.add(&format!("x{x}"), "T", "c");
+            for m in 0..3 {
+                b.add(&format!("x{x}"), "M", &format!("m{}", (x + m) % 4));
+                b.add(&format!("x{x}"), "Z", &format!("z{}", (x * m) % 5));
+            }
+        }
+        for m in 0..4 {
+            for a in 0..40 {
+                b.add(&format!("m{m}"), "A", &format!("a{}", (m + a) % 50));
+            }
+        }
+        for z in 0..5 {
+            b.add(&format!("z{z}"), "B", &format!("b{}", z % 2));
+        }
+        b.add("x9", "M", "m9"); // dangling: burnback removes it
+        b.build()
+    }
+
+    const SNOWFLAKE: &str = "WHERE { ?x :M ?m . ?m :A ?a . ?x :Z ?z . ?z :B ?b . ?x :T c . }";
+
+    fn snowflake(g: &Graph, select: &str) -> (ConjunctiveQuery, AnswerGraph) {
+        let q =
+            wireframe_query::parse_query(&format!("SELECT {select} {SNOWFLAKE}"), g.dictionary())
+                .unwrap();
+        let order: Vec<usize> = (0..q.num_patterns()).collect();
+        let (ag, _) = generate(g, &q, &order, &EvalOptions::default()).unwrap();
+        (q, ag)
+    }
+
+    #[test]
+    fn the_cover_is_the_subtree_the_select_list_spans() {
+        let g = snowflake_graph();
+        let all = vec![0, 1, 2, 3, 4];
+        let cover = |select: &str, ideal: bool| projection_cover(&snowflake(&g, select).0, ideal);
+
+        assert_eq!(cover("DISTINCT ?x ?m", true), vec![0], "adjacent pair");
+        assert_eq!(cover("DISTINCT ?x ?a", true), vec![0, 1], "path through ?m");
+        assert_eq!(cover("DISTINCT ?a ?b", true), vec![0, 1, 2, 3]);
+        assert_eq!(cover("DISTINCT ?m ?z", true), vec![0, 2], "through the hub");
+        assert_eq!(cover("DISTINCT ?z", true), Vec::<usize>::new());
+        // The var–const pattern (4) is a filter: in no cover but the full one.
+        for select in ["DISTINCT ?x", "DISTINCT ?x ?b", "DISTINCT ?a ?x ?b"] {
+            assert!(!cover(select, true).contains(&4), "{select}");
+        }
+        // Full lists, bag projections and non-ideal answer graphs (cyclic
+        // query, edge burnback) join every query edge.
+        assert_eq!(cover("DISTINCT ?x ?m ?a ?z ?b", true), all);
+        assert_eq!(cover("DISTINCT *", true), all);
+        assert_eq!(cover("?x ?a", true), all, "bag projection");
+        assert_eq!(cover("DISTINCT ?x ?a", false), all, "not ideal");
+    }
+
+    #[test]
+    fn joining_the_cover_equals_projecting_the_full_join() {
+        let g = snowflake_graph();
+        for select in [
+            "DISTINCT ?x ?m",
+            "DISTINCT ?a ?x",
+            "DISTINCT ?b ?a",
+            "DISTINCT ?m",
+            "DISTINCT ?z ?x ?a",
+        ] {
+            let (q, ag) = snowflake(&g, select);
+            let (full, full_stats) = defactorize(&q, &ag, &embedding_plan(&q, &ag)).unwrap();
+            let expect = full.project(&q).unwrap();
+            for threads in [1, 4] {
+                let (got, stats) = answer(&q, &ag, true, threads).unwrap();
+                assert_eq!(got.schema(), expect.schema(), "{select}");
+                assert_eq!(
+                    got.flat_data(),
+                    expect.flat_data(),
+                    "{select} on {threads} thread(s): rows bit-identical to project-after-join"
+                );
+                let mut joined = stats.join_order.clone();
+                joined.sort_unstable();
+                assert_eq!(joined, projection_cover(&q, true), "{select}");
+                assert!(
+                    stats.peak_intermediate <= full_stats.peak_intermediate,
+                    "{select}: the cover never builds more than the full join"
+                );
+            }
+            // Without the premise the same entry point joins everything.
+            let (unpushed, stats) = answer(&q, &ag, false, 1).unwrap();
+            assert_eq!(unpushed.flat_data(), expect.flat_data());
+            assert_eq!(stats.join_order.len(), q.num_patterns());
+        }
+    }
+
+    #[test]
+    fn the_parallel_join_partitions_a_cover_too() {
+        // 200 edges on both cover patterns: whichever seeds the join, that is
+        // enough for the parallel path (not its small-input fallback).
+        let mut b = GraphBuilder::new();
+        for i in 0..200 {
+            b.add(&format!("w{i}"), "A", &format!("x{i}"));
+            b.add(&format!("x{i}"), "B", &format!("y{}", i % 3));
+        }
+        for y in 0..3 {
+            for z in 0..50 {
+                b.add(&format!("y{y}"), "C", &format!("z{z}"));
+            }
+        }
+        let g = b.build();
+        let q = wireframe_query::parse_query(
+            "SELECT DISTINCT ?y ?w WHERE { ?w :A ?x . ?x :B ?y . ?y :C ?z . }",
+            g.dictionary(),
+        )
+        .unwrap();
+        let (ag, _) = generate(&g, &q, &[0, 1, 2], &EvalOptions::default()).unwrap();
+        let (sequential, seq_stats) = answer(&q, &ag, true, 1).unwrap();
+        let (parallel, par_stats) = answer(&q, &ag, true, 4).unwrap();
+        assert_eq!(sequential.len(), 200);
+        assert_eq!(parallel.flat_data(), sequential.flat_data());
+        assert_eq!(par_stats.join_order, seq_stats.join_order);
+        assert_eq!(
+            par_stats.join_order.len(),
+            2,
+            "?z's 150 C edges are never joined"
+        );
+        assert_eq!(par_stats.embeddings, seq_stats.embeddings);
+        assert!(
+            par_stats.peak_intermediate < seq_stats.peak_intermediate,
+            "each of the four workers held a quarter of the seeds"
+        );
     }
 }

@@ -103,7 +103,10 @@ impl QueryOutput {
             nodes_burned: self.view.generation().nodes_burned,
             edge_burnback_removed: self.view.edge_burnback().edges_removed,
         };
-        let metrics = factorized.metrics(self.defactorization.peak_intermediate as u64);
+        let metrics = factorized.metrics(
+            self.defactorization.peak_intermediate as u64,
+            self.defactorization.join_order.len() as u64,
+        );
         Evaluation {
             engine: "wireframe".to_owned(),
             epochs: Vec::new(),

@@ -56,10 +56,9 @@ use wireframe_query::{ConjunctiveQuery, EmbeddingSet, Term, TriplePattern, Var};
 
 use crate::answer_graph::AnswerGraph;
 use crate::config::EvalOptions;
-use crate::defactorize::{defactorize, embedding_plan, DefactorizationStats, SeedEnumerator};
+use crate::defactorize::{self, DefactorizationStats, SeedEnumerator};
 use crate::error::EngineError;
 use crate::generate::{burn_nodes, GenerationStats};
-use crate::parallel::{defactorize_parallel, ParallelOptions};
 use crate::planner::Plan;
 use crate::triangulate::EdgeBurnbackStats;
 
@@ -120,9 +119,9 @@ enum PrefixMerge {
 ///   `maintain.prefix_fallbacks`).
 ///
 /// Prefixes exist only for queries whose projection covers every variable
-/// (then prefix rows are bijective with embeddings and revalidation can
-/// resolve every pattern end from a row). Projecting queries fall back to
-/// full-defactorize-then-truncate serving.
+/// ([`prefix_capable`]: then prefix rows are bijective with embeddings and
+/// revalidation can resolve every pattern end from a row). Projecting
+/// queries fall back to defactorize-then-truncate serving.
 #[derive(Debug, Clone)]
 struct TopKPrefix {
     /// Retention capacity: how many canonical-first rows are kept.
@@ -143,18 +142,23 @@ struct TopKPrefix {
     filled: bool,
 }
 
+/// Whether a view of `query` can retain a top-k prefix at all: it has
+/// variables and its projection drops none of them. The one predicate behind
+/// both [`TopKPrefix::new`] and what views tell their serving layer
+/// ([`MaintainedView::prefix_capable`]), so the two cannot drift.
+fn prefix_capable(query: &ConjunctiveQuery) -> bool {
+    query.num_vars() > 0 && defactorize::selects_every_variable(query)
+}
+
 impl TopKPrefix {
-    /// A cold prefix for `query` with capacity `k`; `None` when the query
-    /// shape does not support prefix maintenance (`k == 0`, no variables,
-    /// or a projection that drops variables).
+    /// A cold prefix for `query` with capacity `k`; `None` when `k == 0` or
+    /// the query shape does not support prefix maintenance
+    /// ([`prefix_capable`]).
     fn new(query: &ConjunctiveQuery, k: usize) -> Option<TopKPrefix> {
-        if k == 0 || query.num_vars() == 0 {
+        if k == 0 || !prefix_capable(query) {
             return None;
         }
         let schema: Vec<Var> = query.projection().to_vec();
-        if !query.variables().all(|v| schema.contains(&v)) {
-            return None;
-        }
         let col = |term: Term| match term {
             Term::Const(c) => PrefixEnd::Const(c),
             Term::Var(v) => PrefixEnd::Col(
@@ -833,7 +837,7 @@ impl MaterializedQuery {
         let embeddings =
             EmbeddingSet::from_flat_rows(p.schema.clone(), p.rows[..keep * p.arity].to_vec(), keep);
         let factorized = self.factorized();
-        let metrics = factorized.metrics(0);
+        let metrics = factorized.metrics(0, 0);
         let truncated = !p.exhaustive || p.row_count > limit;
         let explain = self.options.explain.then(|| {
             format!(
@@ -880,20 +884,21 @@ impl MaterializedQuery {
     /// Phase two on demand: defactorizes the *current* answer graph into
     /// projected embeddings. This is the lazy half of the maintenance
     /// design — the embeddings are never retained, only re-derived.
+    ///
+    /// Joins only the query edges the SELECT list needs
+    /// (`DefactorizationStats::join_order` names them): at the
+    /// node-burnback fixpoint of an acyclic query every answer edge lies in
+    /// some embedding, so a `DISTINCT` projection is the join of the
+    /// sub-tree spanning the selected variables and nothing else is
+    /// enumerated. Cyclic and edge-burnback views join every edge.
     pub fn defactorize(&self) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
-        let (full, stats) = if self.options.threads == 1 {
-            let order = embedding_plan(&self.query, &self.answer_graph);
-            defactorize(&self.query, &self.answer_graph, &order)?
-        } else {
-            defactorize_parallel(
-                &self.query,
-                &self.answer_graph,
-                &ParallelOptions::for_threads(self.options.threads),
-            )?
-        };
-        let embeddings = full.into_projected_set(&self.query).ok_or_else(|| {
-            EngineError::Internal("projection referenced a variable missing from the result".into())
-        })?;
+        let ideal = !self.cyclic && !self.options.edge_burnback;
+        let (embeddings, stats) =
+            defactorize::answer(&self.query, &self.answer_graph, ideal, self.options.threads)?;
+        debug_assert!(
+            ideal || stats.join_order.len() == self.query.num_patterns(),
+            "only an acyclic view without edge burnback may skip query edges"
+        );
         Ok((embeddings, stats))
     }
 
@@ -922,6 +927,12 @@ impl MaterializedQuery {
             out,
             "phase 2 (defactorization, on demand):\n  join order {:?}   peak intermediate {}   embeddings {}",
             defact.join_order, defact.peak_intermediate, embeddings
+        );
+        let _ = writeln!(
+            out,
+            "  phase 2 joined {} of {} query edges",
+            defact.join_order.len(),
+            self.query.num_patterns()
         );
         out
     }
@@ -961,7 +972,10 @@ impl MaintainedView for MaterializedQuery {
             ..Timings::default()
         };
         let factorized = self.factorized();
-        let metrics = factorized.metrics(defact.peak_intermediate as u64);
+        let metrics = factorized.metrics(
+            defact.peak_intermediate as u64,
+            defact.join_order.len() as u64,
+        );
         let explain = self
             .options
             .explain
@@ -1002,6 +1016,10 @@ impl MaintainedView for MaterializedQuery {
 
     fn can_prefix_serve(&self, limit: usize) -> bool {
         MaterializedQuery::can_prefix_serve(self, limit)
+    }
+
+    fn prefix_capable(&self) -> bool {
+        prefix_capable(&self.query)
     }
 
     fn info(&self) -> MaintenanceInfo {
@@ -1370,5 +1388,170 @@ mod tests {
             .unwrap()
             .into_view();
         assert!(!burned.is_maintainable());
+    }
+    /// The premise projection pushdown stands on: at the node-burnback
+    /// fixpoint of an acyclic query, every answer edge of every pattern
+    /// occurs in at least one row of the full defactorization.
+    fn assert_every_answer_edge_is_used(view: &MaterializedQuery, context: &str) {
+        assert!(
+            !view.cyclic(),
+            "{context}: the premise is about acyclic queries"
+        );
+        let query = view.query();
+        let ag = view.answer_graph();
+        let order = defactorize::embedding_plan(query, ag);
+        let (full, _) = defactorize::defactorize(query, ag, &order).unwrap();
+        let column = |v: Var| full.schema().iter().position(|&s| s == v).unwrap();
+        for (q, pat) in query.patterns().iter().enumerate() {
+            let end = |term: Term, row: &[NodeId]| match term {
+                Term::Const(c) => c,
+                Term::Var(v) => row[column(v)],
+            };
+            let mut used: Vec<(NodeId, NodeId)> = full
+                .rows()
+                .map(|row| (end(pat.subject, row), end(pat.object, row)))
+                .collect();
+            used.sort_unstable();
+            used.dedup();
+            let mut edges: Vec<(NodeId, NodeId)> = ag.pattern(q).iter().collect();
+            edges.sort_unstable();
+            assert_eq!(
+                edges, used,
+                "{context}: pattern {q} holds an answer edge no embedding uses"
+            );
+        }
+    }
+
+    /// Figure 1 plus decoys that match single patterns but no embedding, a
+    /// snowflake-shaped tail, and a constant end.
+    fn noisy_graph() -> Graph {
+        let mut b = GraphBuilder::new();
+        for (s, p, o) in [
+            ("1", "A", "5"),
+            ("2", "A", "5"),
+            ("3", "A", "6"),
+            ("4", "A", "7"), // 7 has no B edge
+            ("5", "B", "9"),
+            ("6", "B", "9"),
+            ("6", "B", "10"),
+            ("8", "B", "10"), // 8 has no A edge
+            ("9", "C", "12"),
+            ("9", "C", "13"),
+            ("10", "C", "13"),
+            ("11", "C", "14"), // 11 has no B edge
+            ("5", "D", "20"),
+            ("6", "D", "21"),
+            ("9", "D", "20"),
+        ] {
+            b.add(s, p, o);
+        }
+        b.build_with_store(StoreKind::Delta)
+    }
+
+    #[test]
+    fn acyclic_answer_edges_all_lie_in_some_embedding() {
+        let g = noisy_graph();
+        for text in [
+            "SELECT * WHERE { ?w :A ?x . ?x :B ?y . ?y :C ?z . }",
+            "SELECT DISTINCT ?w ?z WHERE { ?w :A ?x . ?x :B ?y . ?y :C ?z . ?x :D ?d . }",
+            "SELECT DISTINCT ?y WHERE { ?w :A ?x . ?x :B ?y . ?x :D 20 . }",
+        ] {
+            let q = parse_query(text, g.dictionary()).unwrap();
+
+            // Fresh.
+            let mut view = materialize(&g, &q);
+            assert_every_answer_edge_is_used(&view, &format!("fresh {text}"));
+
+            // Maintained: removals that strand edges, insertions that revive
+            // dead regions, and a batch doing both.
+            let mut graph = g.clone();
+            for (epoch, mutation) in [
+                Mutation::new().remove("5", "B", "9").insert("7", "B", "10"),
+                Mutation::new().insert("8", "A", "8").remove("9", "C", "13"),
+                Mutation::new()
+                    .insert("10", "D", "20")
+                    .insert("7", "D", "20")
+                    .remove("2", "A", "5"),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let (next, outcome) = graph.apply(&mutation);
+                view.maintain(&next, &outcome.delta, epoch as u64 + 1);
+                graph = next;
+                assert_matches_fresh(&view, &graph, &format!("batch {epoch} {text}"));
+                assert_every_answer_edge_is_used(&view, &format!("batch {epoch} {text}"));
+            }
+
+            // Shard-merged, over the final graph.
+            let q = parse_query(text, graph.dictionary()).unwrap();
+            let parts = wireframe_graph::partition_graph(&graph, 2);
+            let scans: Vec<_> = parts
+                .iter()
+                .map(|part| crate::sharded::scan_candidates(part, &q))
+                .collect();
+            let merged =
+                crate::sharded::merge_candidates(&q, &parts[0], &scans, EvalOptions::default())
+                    .unwrap();
+            assert_every_answer_edge_is_used(&merged, &format!("2 shards {text}"));
+            let (ours, _) = merged.defactorize().unwrap();
+            let (theirs, _) = view.defactorize().unwrap();
+            assert_eq!(ours.flat_data(), theirs.flat_data(), "2 shards {text}");
+        }
+    }
+
+    #[test]
+    fn only_ideal_views_join_a_cover() {
+        let joined = |view: &MaterializedQuery| view.defactorize().unwrap().1.join_order.len();
+
+        // Acyclic, node burnback only: the adjacent pair needs one edge.
+        let g = noisy_graph();
+        let text = "SELECT DISTINCT ?x ?y WHERE { ?w :A ?x . ?x :B ?y . ?y :C ?z . }";
+        let q = parse_query(text, g.dictionary()).unwrap();
+        let view = materialize(&g, &q);
+        assert_eq!(joined(&view), 1);
+        let (plain, _) = view.defactorize().unwrap();
+        // The same view on four threads answers identically.
+        let threaded = WireframeEngine::with_options(&g, EvalOptions::default().with_threads(4))
+            .execute(&q)
+            .unwrap();
+        assert_eq!(threaded.embeddings().flat_data(), plain.flat_data());
+        // The edge-burnback option withdraws the premise, acyclic or not.
+        let burned = WireframeEngine::with_options(&g, EvalOptions::default().with_edge_burnback())
+            .execute(&q)
+            .unwrap();
+        assert_eq!(burned.defactorization.join_order.len(), 3);
+        assert_eq!(burned.embeddings().flat_data(), plain.flat_data());
+
+        // Cyclic (the paper's Figure 4): two diamonds plus the cross edges
+        // 4 -C-> 5 and 8 -C-> 1, which survive node burnback but lie in no
+        // embedding — pattern 2 alone would answer four rows, not two.
+        let mut b = GraphBuilder::new();
+        for (s, p, o) in [
+            ("3", "A", "4"),
+            ("3", "B", "2"),
+            ("4", "C", "1"),
+            ("2", "D", "1"),
+            ("7", "A", "8"),
+            ("7", "B", "6"),
+            ("8", "C", "5"),
+            ("6", "D", "5"),
+            ("4", "C", "5"),
+            ("8", "C", "1"),
+        ] {
+            b.add(s, p, o);
+        }
+        let g = b.build();
+        let q = parse_query(
+            "SELECT DISTINCT ?e ?y WHERE { ?x :A ?e . ?x :B ?z . ?e :C ?y . ?z :D ?y . }",
+            g.dictionary(),
+        )
+        .unwrap();
+        let view = materialize(&g, &q);
+        assert!(view.cyclic());
+        assert_eq!(view.answer_graph().edge_count(2), 4, "spurious edges kept");
+        assert_eq!(joined(&view), 4);
+        let (rows, _) = view.defactorize().unwrap();
+        assert_eq!(rows.len(), 2, "one (?e, ?y) pair per diamond");
     }
 }

@@ -11,11 +11,11 @@
 
 use std::num::NonZeroUsize;
 
-use wireframe_query::{ConjunctiveQuery, EmbeddingSet, Var};
+use wireframe_query::{ConjunctiveQuery, EmbeddingSet};
 
 use crate::answer_graph::AnswerGraph;
 use crate::defactorize::{
-    defactorize, defactorize_indexed, embedding_plan, DefactorizationStats, JoinIndex,
+    bound_variables, defactorize_indexed, embedding_plan, join, DefactorizationStats, JoinIndex,
 };
 use crate::error::EngineError;
 
@@ -74,14 +74,24 @@ pub fn defactorize_parallel(
     ag: &AnswerGraph,
     options: &ParallelOptions,
 ) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
-    let order = embedding_plan(query, ag);
+    join_parallel(query, ag, embedding_plan(query, ag), options)
+}
+
+/// [`defactorize_parallel`] over an explicit join `order` — every pattern,
+/// or a projection cover; the result's schema is the variables it binds.
+pub(crate) fn join_parallel(
+    query: &ConjunctiveQuery,
+    ag: &AnswerGraph,
+    order: Vec<usize>,
+    options: &ParallelOptions,
+) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
     let Some(&seed_pattern) = order.first() else {
-        return Err(EngineError::Internal("query has no patterns".into()));
+        return Err(EngineError::Internal("the join order is empty".into()));
     };
     let seeds: Vec<_> = ag.pattern(seed_pattern).iter().collect();
     let threads = options.threads.max(1);
     if threads == 1 || seeds.len() < options.min_seeds_per_thread * 2 {
-        return defactorize(query, ag, &order);
+        return join(query, ag, &order);
     }
 
     let chunk_size = seeds.len().div_ceil(threads);
@@ -90,15 +100,7 @@ pub fn defactorize_parallel(
     // The non-seed join indexes are identical for every worker: build them
     // once and share them read-only. Each worker only builds the (small)
     // index over its own slice of the seed pattern's edges.
-    let shared: Vec<JoinIndex> = (0..query.num_patterns())
-        .map(|q| {
-            if q == seed_pattern {
-                JoinIndex::default()
-            } else {
-                JoinIndex::build(ag.pattern(q))
-            }
-        })
-        .collect();
+    let shared = JoinIndex::build_for(ag, &order[1..]);
 
     type WorkerResult = Result<(EmbeddingSet, DefactorizationStats), EngineError>;
     let results: Result<Vec<(EmbeddingSet, DefactorizationStats)>, EngineError> =
@@ -138,12 +140,11 @@ pub fn defactorize_parallel(
     // uses exactly one seed edge. Partition order follows seed-chunk order,
     // so the result is deterministic for a given thread count (and the *set*
     // is identical across thread counts).
-    let schema: Vec<Var> = query.variables().collect();
+    let mut merged = EmbeddingSet::empty(bound_variables(query, &order));
     let mut stats = DefactorizationStats {
         join_order: order,
         ..DefactorizationStats::default()
     };
-    let mut merged = EmbeddingSet::empty(schema);
     for (part, part_stats) in results {
         stats.peak_intermediate = stats.peak_intermediate.max(part_stats.peak_intermediate);
         stats.embeddings += part_stats.embeddings;
@@ -160,6 +161,7 @@ pub fn defactorize_parallel(
 mod tests {
     use super::*;
     use crate::config::EvalOptions;
+    use crate::defactorize::defactorize;
     use crate::generate::generate;
     use wireframe_graph::{Graph, GraphBuilder};
     use wireframe_query::CqBuilder;

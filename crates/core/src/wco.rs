@@ -53,11 +53,10 @@ use wireframe_query::{ConjunctiveQuery, EmbeddingSet, QueryGraph, Term, Var};
 
 use crate::answer_graph::AnswerGraph;
 use crate::config::EvalOptions;
-use crate::defactorize::{defactorize, embedding_plan, DefactorizationStats};
+use crate::defactorize::{self, DefactorizationStats};
 use crate::error::EngineError;
 use crate::generate::GenerationStats;
 use crate::maintain::{ends_match, ProvenanceIndex};
-use crate::parallel::{defactorize_parallel, ParallelOptions};
 use crate::planner::{self, Plan};
 use crate::sharded::{cleared_answer_graph, settle_candidates};
 
@@ -599,7 +598,10 @@ impl Engine for WcoEngine<'_> {
         timings.defactorization_cpu = defact.cpu;
 
         let factorized = view.factorized();
-        let metrics = factorized.metrics(defact.peak_intermediate as u64);
+        let metrics = factorized.metrics(
+            defact.peak_intermediate as u64,
+            defact.join_order.len() as u64,
+        );
         let explain = self
             .options
             .explain
@@ -827,20 +829,9 @@ impl WcoView {
     /// Phase two on demand: defactorizes the current answer graph into
     /// projected embeddings (never retained, only re-derived).
     pub fn defactorize(&self) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
-        let (full, stats) = if self.options.threads == 1 {
-            let order = embedding_plan(&self.query, &self.answer_graph);
-            defactorize(&self.query, &self.answer_graph, &order)?
-        } else {
-            defactorize_parallel(
-                &self.query,
-                &self.answer_graph,
-                &ParallelOptions::for_threads(self.options.threads),
-            )?
-        };
-        let embeddings = full.into_projected_set(&self.query).ok_or_else(|| {
-            EngineError::Internal("projection referenced a variable missing from the result".into())
-        })?;
-        Ok((embeddings, stats))
+        // Not declared ideal: generic join serves cyclic shapes, so phase two
+        // always joins every query edge here.
+        defactorize::answer(&self.query, &self.answer_graph, false, self.options.threads)
     }
 
     fn factorized(&self) -> Factorized {
@@ -907,7 +898,10 @@ impl MaintainedView for WcoView {
             ..Timings::default()
         };
         let factorized = self.factorized();
-        let metrics = factorized.metrics(defact.peak_intermediate as u64);
+        let metrics = factorized.metrics(
+            defact.peak_intermediate as u64,
+            defact.join_order.len() as u64,
+        );
         let explain = self
             .options
             .explain

@@ -64,6 +64,9 @@ pub mod names {
     pub const CACHE_INVALIDATIONS: &str = "executor.cache_invalidations";
     /// Evaluations served purely from a retained view.
     pub const VIEW_SERVES: &str = "executor.view_serves";
+    /// View-backed answers whose phase two joined only the query edges a
+    /// `DISTINCT` SELECT list spans (the projection cover), not every edge.
+    pub const PROJECTED_SERVES: &str = "executor.projected_serves";
     /// Full pipeline runs (evaluations + view materializations).
     pub const FULL_EVALUATIONS: &str = "executor.full_evaluations";
     /// Retained views maintained in place by mutations.

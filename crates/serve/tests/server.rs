@@ -215,6 +215,76 @@ fn expired_deadline_sheds_at_dequeue() {
     server.shutdown();
 }
 
+#[test]
+fn projected_limited_replies_keep_their_meaning_on_the_wire() {
+    use wireframe_serve::frame::{write_frame, FrameReader, DEFAULT_MAX_FRAME};
+
+    // `a{i} knows b{i} likes c{i}`, plus three more likes per b{i}: the
+    // DISTINCT pair (?x, ?y) has 5 answers, the full join has 20 rows.
+    let mut graph = chain_graph(5);
+    for i in 0..5 {
+        for extra in 0..3 {
+            let (next, _) = graph.apply(&wireframe::Mutation::new().insert(
+                &format!("b{i}"),
+                "likes",
+                &format!("d{extra}"),
+            ));
+            graph = next;
+        }
+    }
+    let server = Server::start(
+        Arc::new(Session::new(graph)),
+        "127.0.0.1:0",
+        ServeConfig {
+            metrics_addr: Some("127.0.0.1:0".to_owned()),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+
+    // Raw frames: what a client in any language sees.
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = FrameReader::new();
+    let mut ask = |id: u32, limit: u32| {
+        let request = format!(
+            r#"{{"v":1,"type":"query","id":{id},"query":"SELECT DISTINCT ?x ?y WHERE {{ ?x <knows> ?y . ?y <likes> ?z . }}","limit":{limit}}}"#
+        );
+        write_frame(&mut stream, &request).unwrap();
+        reader
+            .read_frame(&mut stream, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .expect("a reply frame")
+    };
+    // A miss, then hits on the retained view: same bytes but the id.
+    for id in 1..=3 {
+        let reply = ask(id, 2);
+        assert!(reply.contains(r#""prefix_served":false"#), "{reply}");
+        assert!(
+            reply.contains(r#""total":5"#),
+            "exact distinct count: {reply}"
+        );
+        assert!(reply.contains(r#""truncated":true"#), "{reply}");
+        assert!(
+            reply.contains(r#""rows":[["a0","b0"],["a1","b1"]]"#),
+            "{reply}"
+        );
+    }
+    let reply = ask(4, 16);
+    assert!(reply.contains(r#""prefix_served":false"#), "{reply}");
+    assert!(reply.contains(r#""total":5"#), "{reply}");
+    assert!(reply.contains(r#""truncated":false"#), "{reply}");
+
+    // All four were answered by joining one of the two query edges, and
+    // both read paths say so.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (_epoch, snap) = client.metrics().unwrap();
+    assert_eq!(snap.counter("executor.projected_serves"), 4);
+    assert_eq!(snap.counter("executor.view_serves"), 3);
+    let text = scrape(server.metrics_local_addr().expect("scrape listener bound"));
+    assert!(text.contains("wf_executor_projected_serves 4\n"), "{text}");
+    server.shutdown();
+}
+
 /// A minimal HTTP GET against the scrape listener (raw socket — the
 /// endpoint is hand-rolled HTTP, a raw client keeps the test honest).
 fn scrape(addr: std::net::SocketAddr) -> String {

@@ -475,6 +475,7 @@ pub struct Session {
     maintenance_micros_total: Counter,
     mutation_touches: Counter,
     view_serves: Counter,
+    projected_serves: Counter,
     full_evals: Counter,
     prefix_hits: Counter,
     prefix_refills: Counter,
@@ -742,6 +743,7 @@ impl Session {
             maintenance_micros_total: metrics.counter(names::MAINTENANCE_MICROS),
             mutation_touches: metrics.counter(names::MUTATION_CACHE_TOUCHES),
             view_serves: metrics.counter(names::VIEW_SERVES),
+            projected_serves: metrics.counter(names::PROJECTED_SERVES),
             full_evals: metrics.counter(names::FULL_EVALUATIONS),
             prefix_hits: metrics.counter(names::MAINTAIN_PREFIX_HITS),
             prefix_refills: metrics.counter(names::MAINTAIN_PREFIX_REFILLS),
@@ -942,7 +944,14 @@ impl Session {
             if t.defactorization_cpu > t.defactorization {
                 child = child.field("cpu_micros", t.defactorization_cpu.as_micros().to_string());
             }
-            child
+            // How many of the query's edges phase two actually joined: fewer
+            // than all of them when the SELECT list let it join a cover.
+            match joined_cover(evaluation) {
+                Some((cover, patterns)) if !prefix_served => child
+                    .field("cover_patterns", cover.to_string())
+                    .field("patterns", patterns.to_string()),
+                _ => child,
+            }
         };
         let mut span = Span::new("query", elapsed)
             .field("signature", format!("{:016x}", hasher.finish()))
@@ -1015,8 +1024,12 @@ impl Session {
             if let Some(retained) = retained {
                 // A limited hit on a view whose prefix cannot answer it warms
                 // the prefix first (copy-on-write under the slot lock), so
-                // this call and every later one serve in O(limit).
-                let retained = if limit > 0 && !retained.can_prefix_serve(limit) {
+                // this call and every later one serve in O(limit). A view
+                // that can never hold a prefix (projecting query, `wco`) is
+                // left alone: no slot write lock, no copy of the view.
+                let warmable =
+                    limit > 0 && !retained.can_prefix_serve(limit) && retained.prefix_capable();
+                let retained = if warmable {
                     self.warm_prefix(&view, epoch, limit).unwrap_or(retained)
                 } else {
                     retained
@@ -1024,9 +1037,7 @@ impl Session {
                 let mut evaluation = retained.evaluate_limited(limit)?;
                 evaluation.epochs = vec![epoch];
                 self.view_serves.inc();
-                if evaluation.limited.is_some_and(|i| i.prefix_served) {
-                    self.prefix_hits.inc();
-                }
+                self.count_phase_two(&evaluation);
                 return Ok(evaluation);
             }
             // First use (or a stale slot): run the full phase-one pipeline
@@ -1038,9 +1049,7 @@ impl Session {
                 let phase_one = t.elapsed();
                 let mut evaluation = fresh.evaluate_limited(limit)?;
                 evaluation.epochs = vec![epoch];
-                if evaluation.limited.is_some_and(|i| i.prefix_served) {
-                    self.prefix_hits.inc();
-                }
+                self.count_phase_two(&evaluation);
                 // This call *did* pay planning + generation (+ burnback);
                 // the trait cannot hand the split back, so the lump is
                 // reported as answer-graph time — Timings::total stays
@@ -1058,6 +1067,16 @@ impl Session {
         // when the evaluation is already at least as tight.
         evaluation.apply_limit(limit);
         Ok(evaluation)
+    }
+
+    /// Counts how a view-backed answer got its rows: out of the retained
+    /// top-k prefix, or from a phase two that joined only a projection cover.
+    fn count_phase_two(&self, evaluation: &Evaluation) {
+        if evaluation.limited.is_some_and(|i| i.prefix_served) {
+            self.prefix_hits.inc();
+        } else if joined_cover(evaluation).is_some_and(|(cover, patterns)| cover < patterns) {
+            self.projected_serves.inc();
+        }
     }
 
     /// Whether this session serves the given engine through retained views,
@@ -1511,6 +1530,13 @@ impl Session {
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
+}
+
+/// `(query edges phase two joined, query edges)` of a factorized evaluation
+/// that reports both; `None` for engines that do not factorize.
+fn joined_cover(evaluation: &Evaluation) -> Option<(u64, u64)> {
+    let patterns = evaluation.factorized.as_ref()?.plan_order.len() as u64;
+    Some((evaluation.metric("cover_patterns")?, patterns))
 }
 
 impl QueryExecutor for Session {
@@ -2205,6 +2231,101 @@ mod tests {
             "the dangling A edge closes nothing"
         );
         assert!(ev.maintenance.is_some());
+    }
+
+    /// The `Arc` a cached query's slot currently retains.
+    fn retained_view(session: &Session, text: &str) -> Arc<dyn MaintainedView> {
+        let query = parse_query(text, session.graph().dictionary()).unwrap();
+        let key = (
+            session.engine.clone(),
+            plan_cache_key(&query).as_str().to_owned(),
+        );
+        let (_, slot) = session
+            .cache
+            .find(&key, &query)
+            .expect("the plan is cached");
+        let guard = slot.read().unwrap();
+        match &*guard {
+            ViewSlot::Retained(view) => Arc::clone(view),
+            _ => panic!("no view retained for {text}"),
+        }
+    }
+
+    #[test]
+    fn limited_hits_never_copy_a_view_that_cannot_hold_a_prefix() {
+        // A projecting acyclic view: bounded hits defactorize (the cover,
+        // here the empty one) straight off the retained `Arc`.
+        let session =
+            Session::from_config(knows_graph(), SessionConfig::new().store(StoreKind::Delta))
+                .unwrap();
+        let projected = "SELECT DISTINCT ?x WHERE { ?x :knows ?y . ?y :knows ?z . }";
+        session.query_limited(projected, 16).unwrap();
+        let view = retained_view(&session, projected);
+        let refills = session.prefix_refills.get();
+        for _ in 0..2 {
+            let ev = session.query_limited(projected, 16).unwrap();
+            let info = ev.limited.expect("limited answers carry LimitInfo");
+            assert!(!info.prefix_served);
+            assert_eq!(info.full_total, Some(2), "alice and bob start 2-chains");
+            assert!(!info.truncated);
+        }
+        assert!(
+            Arc::ptr_eq(&view, &retained_view(&session, projected)),
+            "a limited hit must not swap a copy of the view into the slot"
+        );
+        assert_eq!(session.prefix_refills.get(), refills);
+        let snap = session.metrics_snapshot();
+        assert_eq!(snap.counter(names::VIEW_SERVES), 2);
+        assert_eq!(
+            snap.counter(names::PROJECTED_SERVES),
+            3,
+            "the miss and both hits joined a cover (none of the 2 query edges)"
+        );
+        assert_eq!(snap.counter(names::MAINTAIN_PREFIX_HITS), 0);
+
+        // The span of such a serve says how little phase two joined.
+        let (graph, _) = session.snapshot();
+        let query = parse_query(projected, graph.dictionary()).unwrap();
+        let mut ev = session.query_limited(projected, 16).unwrap();
+        ev.timings.defactorization = std::time::Duration::from_micros(5);
+        let span = session.query_span(&query, &ev, ev.timings.defactorization, &graph);
+        let child = &span.children[0];
+        assert_eq!(child.name, "defactorize");
+        assert!(child
+            .fields
+            .contains(&("cover_patterns".to_owned(), "0".to_owned())));
+        assert!(child
+            .fields
+            .contains(&("patterns".to_owned(), "2".to_owned())));
+
+        // A cyclic query retained through `wco`, whose views hold no prefix.
+        let mut b = GraphBuilder::new();
+        b.add("3", "A", "4");
+        b.add("3", "B", "2");
+        b.add("4", "C", "1");
+        b.add("2", "D", "1");
+        let session = Session::from_config(
+            b.build(),
+            SessionConfig::new()
+                .engine_config(EngineConfig::default().with_edge_burnback())
+                .store(StoreKind::Delta),
+        )
+        .unwrap();
+        let cyclic = "SELECT * WHERE { ?x :A ?e . ?x :B ?z . ?e :C ?y . ?z :D ?y . }";
+        session.query_limited(cyclic, 16).unwrap();
+        let view = retained_view(&session, cyclic);
+        for _ in 0..2 {
+            let ev = session.query_limited(cyclic, 16).unwrap();
+            assert_eq!(ev.engine, "wco");
+            assert!(!ev.limited.unwrap().prefix_served);
+        }
+        assert!(Arc::ptr_eq(&view, &retained_view(&session, cyclic)));
+        assert_eq!(session.prefix_refills.get(), 0);
+        assert_eq!(
+            session.metrics_snapshot().counter(names::PROJECTED_SERVES),
+            0,
+            "wco joins every query edge"
+        );
     }
 
     #[test]
