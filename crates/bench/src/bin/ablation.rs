@@ -1,4 +1,4 @@
-//! Ablation harness for the design choices DESIGN.md calls out:
+//! Ablation harness for the paper's own design claims:
 //!
 //! 1. **Planner quality** — the DP Edgifier versus a greedy planner versus
 //!    evaluating the query edges as written (no cost-based planning), measured
@@ -8,8 +8,6 @@
 //!    versus triangulation + edge burnback (the paper's work in progress).
 //! 3. **Factorization-gap scaling** — |Embeddings| / |AG| as the planted
 //!    fan-out grows, the mechanism behind the paper's headline ratios.
-//! 4. **Bushy vs left-deep defactorization** — the richer phase-two plan space
-//!    the paper's conclusions point to, measured by peak intermediate size.
 //!
 //! ```text
 //! cargo run -p wireframe-bench --bin ablation --release
@@ -18,10 +16,7 @@
 use std::time::Instant;
 
 use wireframe_bench::{build_dataset, DatasetSize};
-use wireframe_core::{
-    defactorize, embedding_plan, execute_bushy, plan_bushy, EvalOptions, PlannerKind,
-    WireframeEngine,
-};
+use wireframe_core::{EvalOptions, PlannerKind, WireframeEngine};
 use wireframe_datagen::{generate, table1_queries, YagoConfig};
 use wireframe_query::Shape;
 
@@ -87,28 +82,7 @@ fn main() {
         );
     }
 
-    println!("\n=== Ablation 3: bushy vs left-deep defactorization (peak intermediate tuples) ===");
-    println!(
-        "{:<7} {:>14} {:>14} {:>12}",
-        "query", "left-deep peak", "bushy peak", "tree depth"
-    );
-    for bq in &queries {
-        let engine = WireframeEngine::new(&graph);
-        let (ag, _, _) = engine.answer_graph(&bq.query).expect("phase one runs");
-        let order = embedding_plan(&bq.query, &ag);
-        let (_, ld_stats) = defactorize(&bq.query, &ag, &order).expect("left-deep runs");
-        let plan = plan_bushy(&bq.query, &ag).expect("bushy plans");
-        let (_, bushy_stats) = execute_bushy(&bq.query, &ag, &plan).expect("bushy runs");
-        println!(
-            "{:<7} {:>14} {:>14} {:>12}",
-            bq.name,
-            ld_stats.peak_intermediate,
-            bushy_stats.peak_intermediate,
-            plan.root.depth()
-        );
-    }
-
-    println!("\n=== Ablation 4: factorization gap vs planted fan-out (snowflakes) ===");
+    println!("\n=== Ablation 3: factorization gap vs planted fan-out (snowflakes) ===");
     println!(
         "{:>8} {:>10} {:>14} {:>10}",
         "fan-out", "|AG|", "|Embeddings|", "ratio"

@@ -158,8 +158,23 @@ pub fn embedding_plan(query: &ConjunctiveQuery, ag: &AnswerGraph) -> Vec<usize> 
 /// [`embedding_plan`] restricted to the query edges in `patterns` (a
 /// [`projection_cover`]; connected, so the greedy walk never has to jump).
 fn plan_over(query: &ConjunctiveQuery, ag: &AnswerGraph, patterns: &[usize]) -> Vec<usize> {
+    plan_over_from(query, ag, patterns, None)
+}
+
+/// [`plan_over`] with the first pattern pinned to `start` when one is given:
+/// a seeded join ([`join_seeded`]) holds that pattern to a handful of pairs,
+/// so visiting it first bounds every intermediate.
+fn plan_over_from(
+    query: &ConjunctiveQuery,
+    ag: &AnswerGraph,
+    patterns: &[usize],
+    start: Option<usize>,
+) -> Vec<usize> {
     let mut order: Vec<usize> = Vec::with_capacity(patterns.len());
     let mut rest: Vec<usize> = patterns.to_vec();
+    if let Some(at) = start.and_then(|seed| rest.iter().position(|&q| q == seed)) {
+        order.push(rest.remove(at));
+    }
     while !rest.is_empty() {
         let connected = |i: usize| {
             order.is_empty()
@@ -520,6 +535,26 @@ pub(crate) fn defactorize_indexed(
     Ok((EmbeddingSet::from_flat_rows(schema, out, count), stats))
 }
 
+/// The join loop with the answer edges of `order[0]` replaced by `pairs` —
+/// the one seeded join behind both users of a partial first pattern: the
+/// parallel defactorizer (each worker's chunk of the seed edges) and
+/// [`SeedEnumerator`] (one inserted answer edge). `indexes[q]` is read for
+/// the other patterns of `order`, so callers build those once and share them.
+pub(crate) fn join_seeded(
+    query: &ConjunctiveQuery,
+    indexes: &[JoinIndex],
+    order: &[usize],
+    pairs: Vec<(NodeId, NodeId)>,
+) -> Result<(EmbeddingSet, DefactorizationStats), EngineError> {
+    let Some(&seed) = order.first() else {
+        return Err(EngineError::Internal("the join order is empty".into()));
+    };
+    let seeded = JoinIndex::from_pairs(pairs);
+    let mut refs: Vec<&JoinIndex> = indexes.iter().collect();
+    refs[seed] = &seeded;
+    defactorize_indexed(query, &refs, order)
+}
+
 /// Enumerates only the embeddings that pass **through one specific answer
 /// edge** — the primitive behind incremental top-k prefix maintenance: an
 /// inserted AG edge can only contribute rows that use it, so instead of
@@ -529,56 +564,20 @@ pub(crate) fn defactorize_indexed(
 /// Built once per maintenance pass (the per-pattern indexes are shared
 /// across all seed edges of the pass), then probed once per inserted edge.
 #[derive(Debug)]
-pub(crate) struct SeedEnumerator {
+pub(crate) struct SeedEnumerator<'a> {
+    ag: &'a AnswerGraph,
     indexes: Vec<JoinIndex>,
 }
 
-impl SeedEnumerator {
+impl<'a> SeedEnumerator<'a> {
     /// Snapshots the current answer graph into join indexes.
-    pub(crate) fn new(query: &ConjunctiveQuery, ag: &AnswerGraph) -> Self {
+    pub(crate) fn new(query: &ConjunctiveQuery, ag: &'a AnswerGraph) -> Self {
         SeedEnumerator {
+            ag,
             indexes: (0..query.num_patterns())
                 .map(|q| JoinIndex::build(ag.pattern(q)))
                 .collect(),
         }
-    }
-
-    /// A connected join order that starts at `seed`, then greedily extends
-    /// to the smallest connected answer-edge set — the seed pattern is
-    /// pinned to one pair, so visiting it first bounds every intermediate.
-    fn seed_order(&self, query: &ConjunctiveQuery, seed: usize) -> Vec<usize> {
-        let n = query.num_patterns();
-        let mut order = Vec::with_capacity(n);
-        let mut used = vec![false; n];
-        order.push(seed);
-        used[seed] = true;
-        while order.len() < n {
-            let mut best: Option<usize> = None;
-            for (i, pattern) in query.patterns().iter().enumerate() {
-                if used[i] {
-                    continue;
-                }
-                let connected = pattern.variables().any(|v| {
-                    order
-                        .iter()
-                        .any(|&j: &usize| query.patterns()[j].mentions(v))
-                });
-                if !connected {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => self.indexes[i].pairs.len() < self.indexes[b].pairs.len(),
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-            let pick = best.unwrap_or_else(|| (0..n).find(|&i| !used[i]).expect("pattern left"));
-            used[pick] = true;
-            order.push(pick);
-        }
-        order
     }
 
     /// All embeddings whose binding of pattern `seed` is exactly the answer
@@ -591,21 +590,10 @@ impl SeedEnumerator {
         s: NodeId,
         o: NodeId,
     ) -> Result<EmbeddingSet, EngineError> {
-        let pinned = JoinIndex::from_pairs(vec![(s, o)]);
-        let mut refs: Vec<&JoinIndex> = self.indexes.iter().collect();
-        refs[seed] = &pinned;
-        let order = self.seed_order(query, seed);
-        defactorize_indexed(query, &refs, &order).map(|(set, _)| set)
+        let all: Vec<usize> = (0..query.num_patterns()).collect();
+        let order = plan_over_from(query, self.ag, &all, Some(seed));
+        join_seeded(query, &self.indexes, &order, vec![(s, o)]).map(|(set, _)| set)
     }
-}
-
-/// Convenience: counts embeddings without keeping the materialized set.
-pub fn count_embeddings(
-    query: &ConjunctiveQuery,
-    ag: &AnswerGraph,
-    order: &[usize],
-) -> Result<usize, EngineError> {
-    defactorize(query, ag, order).map(|(set, _)| set.len())
 }
 
 fn bind(tuple: &[NodeId], col: usize, term: Term) -> NodeId {
@@ -725,15 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_materialization() {
-        let g = figure1_graph();
-        let q = chain_query(&g);
-        let (ag, _) = generate(&g, &q, &[0, 1, 2], &EvalOptions::default()).unwrap();
-        let order = embedding_plan(&q, &ag);
-        assert_eq!(count_embeddings(&q, &ag, &order).unwrap(), 12);
-    }
-
-    #[test]
     fn fully_ground_query_returns_the_empty_tuple() {
         // A query with no variables has a zero-arity answer schema; its
         // answer is one empty tuple when the pattern holds, zero otherwise.
@@ -786,6 +765,37 @@ mod tests {
                 union.same_answer(&full),
                 "seeding pattern {pat} must cover the full answer"
             );
+        }
+    }
+
+    #[test]
+    fn a_pinned_plan_starts_at_the_seed_and_stays_connected() {
+        let chain = figure1_graph();
+        let q = chain_query(&chain);
+        let (ag, _) = generate(&chain, &q, &[0, 1, 2], &EvalOptions::default()).unwrap();
+        let flake = snowflake_graph();
+        for (q, ag) in [(q, ag), snowflake(&flake, "*")] {
+            let all: Vec<usize> = (0..q.num_patterns()).collect();
+            assert_eq!(
+                plan_over_from(&q, &ag, &all, None),
+                embedding_plan(&q, &ag),
+                "no pin: the plan every full join uses"
+            );
+            for seed in 0..q.num_patterns() {
+                let order = plan_over_from(&q, &ag, &all, Some(seed));
+                assert_eq!(order[0], seed);
+                let mut sorted = order.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, all, "seed {seed}: every pattern exactly once");
+                for (at, &next) in order.iter().enumerate().skip(1) {
+                    assert!(
+                        q.patterns()[next]
+                            .variables()
+                            .any(|v| order[..at].iter().any(|&j| q.patterns()[j].mentions(v))),
+                        "seed {seed}: pattern {next} joins nothing visited before it"
+                    );
+                }
+            }
         }
     }
 

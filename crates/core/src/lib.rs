@@ -11,9 +11,6 @@
 //! * [`triangulate`] / [`edge_burnback`] — the Triangulator and the optional
 //!   edge-burnback pass for cyclic queries,
 //! * [`defactorize`] — phase two: embedding generation from the answer graph,
-//! * [`EmbeddingStream`] — lazy, constant-memory embedding enumeration,
-//! * [`plan_bushy`] / [`execute_bushy`] — the bushy phase-two plan space the
-//!   paper lists as future work,
 //! * [`WireframeEngine`] — the end-to-end engine tying the phases together,
 //! * [`WcoEngine`] — a worst-case-optimal generic-join engine producing the
 //!   same factorized artifact by variable extension (leapfrog intersection),
@@ -56,7 +53,6 @@
 #![warn(missing_docs)]
 
 mod answer_graph;
-mod bushy;
 mod config;
 mod defactorize;
 mod engine;
@@ -68,14 +64,12 @@ mod maintain;
 mod parallel;
 mod planner;
 mod sharded;
-mod stream;
 mod triangulate;
 mod wco;
 
 pub use answer_graph::{AnswerGraph, PatternEdges};
-pub use bushy::{execute_bushy, plan_bushy, BushyPlan, BushyStats, JoinTree};
 pub use config::{EvalOptions, PlannerKind};
-pub use defactorize::{count_embeddings, defactorize, embedding_plan, DefactorizationStats};
+pub use defactorize::{defactorize, embedding_plan, DefactorizationStats};
 pub use engine::{QueryOutput, Timings, WireframeEngine};
 pub use error::EngineError;
 pub use estimate::{Estimator, StepEstimate};
@@ -85,7 +79,6 @@ pub use maintain::{MaterializedQuery, ProvenanceIndex};
 pub use parallel::{auto_threads, defactorize_parallel, ParallelOptions};
 pub use planner::{cost_of_order, plan, Plan};
 pub use sharded::{merge_candidates, scan_candidates};
-pub use stream::{count_streaming, EmbeddingStream};
 pub use triangulate::{
     edge_burnback, triangulate, Chord, Chordification, EdgeBurnbackStats, SideRef, Triangle,
 };

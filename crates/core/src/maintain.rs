@@ -100,16 +100,16 @@ enum PrefixMerge {
 /// *next to* the factorized answer graph so bounded reads (`LIMIT k`) are
 /// served in `O(k)` without defactorizing.
 ///
-/// The low-water mark is the `exhaustive` flag: when set, the prefix *is*
-/// the complete answer (≤ k rows exist) and any limit can be served from
-/// it; when clear, the prefix holds exactly `k` rows of a larger answer and
-/// only limits ≤ k are servable. Maintenance keeps the prefix aligned with
-/// the answer graph under the same [`EdgeDelta`]:
+/// One row more than it serves is retained — the canonical first `k + 1` —
+/// so whether the answer goes on past `k` is read off the row count instead
+/// of remembered: `k + 1` rows held means more than `k` exist, fewer means
+/// the prefix *is* the complete answer. Maintenance keeps the prefix aligned
+/// with the answer graph under the same [`EdgeDelta`]:
 ///
 /// * **removals** only delete prefix rows whose pattern bindings lost an AG
 ///   edge (revalidation is exact: a tuple is an answer iff every pattern's
-///   binding is an answer edge). If a truncated prefix underflows below
-///   `k`, rows that were beyond the horizon may now belong — one bounded
+///   binding is an answer edge). If a prefix that held `k + 1` rows drops to
+///   `k` or fewer, rows that were beyond the horizon may now belong — one
 ///   re-enumeration *refills* it;
 /// * **insertions** only add rows that pass through an inserted AG edge, so
 ///   candidates are enumerated from just those seeds
@@ -124,7 +124,7 @@ enum PrefixMerge {
 /// queries fall back to defactorize-then-truncate serving.
 #[derive(Debug, Clone)]
 struct TopKPrefix {
-    /// Retention capacity: how many canonical-first rows are kept.
+    /// Serving capacity: limits up to `k` are answered from the prefix.
     k: usize,
     /// Projection arity (columns per row); > 0 by construction.
     arity: usize,
@@ -132,11 +132,9 @@ struct TopKPrefix {
     schema: Vec<Var>,
     /// Per-pattern `(subject, object)` readout from a prefix row.
     ends: Vec<(PrefixEnd, PrefixEnd)>,
-    /// `row_count` rows × `arity` columns, canonically sorted, flat.
+    /// `row_count ≤ k + 1` rows × `arity` columns, canonically sorted, flat.
     rows: Vec<NodeId>,
     row_count: usize,
-    /// Low-water mark: the prefix holds the *entire* answer.
-    exhaustive: bool,
     /// Whether the prefix has been enumerated since construction (or since
     /// an enumeration error marked it cold). A cold prefix serves nothing.
     filled: bool,
@@ -180,7 +178,6 @@ impl TopKPrefix {
             ends,
             rows: Vec::new(),
             row_count: 0,
-            exhaustive: false,
             filled: false,
         })
     }
@@ -209,14 +206,14 @@ impl TopKPrefix {
     /// Merge-inserts canonically sorted, deduplicated `candidates` (flat,
     /// same arity) into the sorted prefix, deduplicating against existing
     /// rows (a remove-then-revive batch re-discovers surviving rows), then
-    /// truncates to `k`. Truncation clears `exhaustive`.
+    /// truncates to `k + 1`.
     fn merge_rows(&mut self, candidates: &[NodeId]) {
         let arity = self.arity;
         let cand_count = candidates.len() / arity;
         let mut merged: Vec<NodeId> = Vec::with_capacity(self.rows.len() + candidates.len());
         let mut merged_count = 0usize;
         let (mut i, mut j) = (0usize, 0usize);
-        while merged_count < self.k && (i < self.row_count || j < cand_count) {
+        while merged_count <= self.k && (i < self.row_count || j < cand_count) {
             let take_existing = if i >= self.row_count {
                 false
             } else if j >= cand_count {
@@ -241,10 +238,6 @@ impl TopKPrefix {
                 j += 1;
             }
             merged_count += 1;
-        }
-        // Anything left beyond k rows fell off the horizon.
-        if i < self.row_count || j < cand_count {
-            self.exhaustive = false;
         }
         self.rows = merged;
         self.row_count = merged_count;
@@ -673,11 +666,12 @@ impl MaterializedQuery {
                 stats.prefix_fallbacks += 1;
                 self.recompute_prefix(&mut prefix);
             } else {
+                let truncated = prefix.row_count > prefix.k;
                 prefix.revalidate(&self.answer_graph);
                 // Underflow must be checked BEFORE merging candidates: a
                 // truncated prefix that lost rows may owe rows from beyond
                 // its old horizon, which no inserted-edge seed enumerates.
-                if !prefix.exhaustive && prefix.row_count < prefix.k {
+                if truncated && prefix.row_count <= prefix.k {
                     stats.prefix_refills += 1;
                     self.recompute_prefix(&mut prefix);
                 } else if !added.is_empty() {
@@ -698,8 +692,8 @@ impl MaterializedQuery {
                 }
             }
         }
-        stats.prefix_rows = if prefix.filled { prefix.row_count } else { 0 };
         self.prefix = Some(prefix);
+        stats.prefix_rows = self.prefix_rows();
     }
 
     /// Re-enumerates the prefix from a full defactorization of the current
@@ -708,17 +702,14 @@ impl MaterializedQuery {
     fn recompute_prefix(&self, prefix: &mut TopKPrefix) {
         match self.defactorize() {
             Ok((full, _)) => {
-                let total = full.len();
-                let cut = full.canonical_prefix(prefix.k);
+                let cut = full.canonical_prefix(prefix.k.saturating_add(1));
                 prefix.rows = cut.flat_data().to_vec();
                 prefix.row_count = cut.len();
-                prefix.exhaustive = total <= prefix.k;
                 prefix.filled = true;
             }
             Err(_) => {
                 prefix.rows.clear();
                 prefix.row_count = 0;
-                prefix.exhaustive = false;
                 prefix.filled = false;
             }
         }
@@ -807,21 +798,22 @@ impl MaterializedQuery {
         warm
     }
 
-    /// Rows currently retained in the (warm) top-k prefix.
+    /// Rows the (warm) top-k prefix can serve: at most `k` of the `k + 1`
+    /// it retains.
     pub fn prefix_rows(&self) -> usize {
         self.prefix
             .as_ref()
             .filter(|p| p.filled)
-            .map_or(0, |p| p.row_count)
+            .map_or(0, |p| p.row_count.min(p.k))
     }
 
     /// Whether a bounded evaluation would answer this `limit` straight
-    /// from the warm prefix. `false` when the prefix is cold,
-    /// `limit > k`, or a truncated prefix holds fewer than `limit` rows.
+    /// from the warm prefix. `false` when the prefix is cold or
+    /// `limit > k`.
     pub fn can_prefix_serve(&self, limit: usize) -> bool {
-        self.prefix.as_ref().is_some_and(|p| {
-            p.filled && limit > 0 && limit <= p.k && (p.exhaustive || p.row_count >= limit)
-        })
+        self.prefix
+            .as_ref()
+            .is_some_and(|p| p.filled && limit > 0 && limit <= p.k)
     }
 
     /// Serves the first `limit` rows straight out of the warm prefix in
@@ -838,7 +830,7 @@ impl MaterializedQuery {
             EmbeddingSet::from_flat_rows(p.schema.clone(), p.rows[..keep * p.arity].to_vec(), keep);
         let factorized = self.factorized();
         let metrics = factorized.metrics(0, 0);
-        let truncated = !p.exhaustive || p.row_count > limit;
+        let truncated = p.row_count > limit;
         let explain = self.options.explain.then(|| {
             format!(
                 "maintained view (epoch {}): served {keep} row(s) from the retained top-{} prefix in O(k) — no defactorization\n",
@@ -862,7 +854,7 @@ impl MaterializedQuery {
                 limit,
                 truncated,
                 prefix_served: true,
-                full_total: p.exhaustive.then_some(p.row_count),
+                full_total: (p.row_count <= p.k).then_some(p.row_count),
             }),
         })
     }
@@ -1345,6 +1337,48 @@ mod tests {
         assert_eq!(stats.prefix_refills + stats.prefix_fallbacks, 0);
         assert_eq!(stats.prefix_rows, view.prefix_rows());
         assert_prefix_matches_fresh(&view, &g5, 20, "after no-op");
+    }
+
+    #[test]
+    fn losing_every_row_beyond_the_horizon_ends_the_truncation() {
+        // k + 2 rows `(w_i, x_i, y)`; interning order makes `w_i` ascend, so
+        // rows k and k + 1 are the two beyond a top-k horizon.
+        let k = 4;
+        let mut b = GraphBuilder::new();
+        for i in 0..k + 2 {
+            b.add(&format!("w{i}"), "A", &format!("x{i}"));
+            b.add(&format!("x{i}"), "B", "y");
+        }
+        let g = b.build_with_store(StoreKind::Delta);
+        let q = parse_query("SELECT * WHERE { ?w :A ?x . ?x :B ?y . }", g.dictionary()).unwrap();
+        let mut view = materialize(&g, &q);
+        assert!(view.prime_prefix(k));
+        let before = view.evaluate_limited(k).unwrap();
+        assert!(before.limited.unwrap().truncated, "k + 2 rows exist");
+
+        // Far under the fallback churn: the incremental path must notice on
+        // its own that nothing is left past row k.
+        let (next, outcome) = g.apply(
+            &Mutation::new()
+                .remove("w4", "A", "x4")
+                .remove("w5", "A", "x5"),
+        );
+        let stats = view.maintain(&next, &outcome.delta, 1);
+        assert!(stats.edges_removed < PREFIX_FALLBACK_MIN_CHURN);
+        assert_eq!((stats.prefix_refills, stats.prefix_fallbacks), (1, 0));
+        assert_eq!(stats.prefix_rows, k);
+
+        let after = view.evaluate_limited(k).unwrap();
+        assert_eq!(after.embeddings.flat_data(), before.embeddings.flat_data());
+        assert_eq!(
+            after.limited,
+            Some(LimitInfo {
+                limit: k,
+                truncated: false,
+                prefix_served: true,
+                full_total: Some(k),
+            })
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use wireframe_query::{ConjunctiveQuery, EmbeddingSet};
 
 use crate::answer_graph::AnswerGraph;
 use crate::defactorize::{
-    bound_variables, defactorize_indexed, embedding_plan, join, DefactorizationStats, JoinIndex,
+    bound_variables, embedding_plan, join, join_seeded, DefactorizationStats, JoinIndex,
 };
 use crate::error::EngineError;
 
@@ -107,21 +107,10 @@ pub(crate) fn join_parallel(
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(chunks.len());
             for chunk in &chunks {
-                let order = order.clone();
-                let shared = &shared;
+                let (order, shared) = (&order, &shared);
                 handles.push(scope.spawn(move || -> WorkerResult {
                     let busy = std::time::Instant::now();
-                    let seed_index = JoinIndex::from_pairs(chunk.to_vec());
-                    let indexes: Vec<&JoinIndex> = (0..query.num_patterns())
-                        .map(|q| {
-                            if q == seed_pattern {
-                                &seed_index
-                            } else {
-                                &shared[q]
-                            }
-                        })
-                        .collect();
-                    let (set, mut stats) = defactorize_indexed(query, &indexes, &order)?;
+                    let (set, mut stats) = join_seeded(query, shared, order, chunk.to_vec())?;
                     stats.cpu = busy.elapsed();
                     Ok((set, stats))
                 }));

@@ -1,13 +1,10 @@
 //! Tour of the engineering extensions beyond the paper's prototype:
-//! EXPLAIN-style plan output, streaming (constant-memory) defactorization,
-//! bushy phase-two planning, parallel defactorization, and the dataset report.
+//! EXPLAIN-style plan output, parallel defactorization, and the dataset
+//! report.
 //!
 //! Run with `cargo run --release --example explain_and_extensions`.
 
-use wireframe::core::{
-    defactorize_parallel, execute_bushy, explain_output, plan_bushy, EmbeddingStream,
-    ParallelOptions, WireframeEngine,
-};
+use wireframe::core::{defactorize_parallel, explain_output, ParallelOptions, WireframeEngine};
 use wireframe::datagen::report::DatasetReport;
 use wireframe::datagen::{generate, snowflake_queries, YagoConfig};
 
@@ -26,35 +23,8 @@ fn main() {
     println!("\n=== EXPLAIN {} ===", bq.name);
     print!("{}", explain_output(&graph, &bq.query, &out));
 
-    println!("=== streaming defactorization ===");
-    let (ag, _, _) = engine.answer_graph(&bq.query).expect("phase one runs");
-    let first_five: Vec<_> = EmbeddingStream::new(&bq.query, &ag)
-        .expect("stream builds")
-        .take(5)
-        .collect();
-    println!(
-        "streamed the first {} embeddings without materializing the full result ({} total)",
-        first_five.len(),
-        out.embedding_count()
-    );
-
-    println!("\n=== bushy phase-two plan (paper §6 future work) ===");
-    let bushy = plan_bushy(&bq.query, &ag).expect("bushy plan");
-    println!(
-        "join tree depth {} (left-deep: {}), estimated C_out {:.0}",
-        bushy.root.depth(),
-        bushy.root.is_left_deep(),
-        bushy.estimated_cost
-    );
-    let (bushy_result, bushy_stats) =
-        execute_bushy(&bq.query, &ag, &bushy).expect("bushy executes");
-    println!(
-        "bushy execution: {} embeddings, peak intermediate {}",
-        bushy_result.len(),
-        bushy_stats.peak_intermediate
-    );
-
     println!("\n=== parallel defactorization ===");
+    let (ag, _, _) = engine.answer_graph(&bq.query).expect("phase one runs");
     let (parallel, parallel_stats) =
         defactorize_parallel(&bq.query, &ag, &ParallelOptions::default())
             .expect("parallel defactorization");
@@ -67,5 +37,4 @@ fn main() {
     );
 
     assert_eq!(parallel.len(), out.embedding_count());
-    assert_eq!(bushy_result.len(), out.embedding_count());
 }

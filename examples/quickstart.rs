@@ -5,7 +5,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use wireframe::graph::GraphBuilder;
-use wireframe::Session;
+use wireframe::{QueryExecutor, Session};
 
 fn main() {
     // A tiny movie graph: people act in movies, movies have creation dates.
@@ -67,10 +67,10 @@ fn main() {
     // Re-running a query hits the prepared-plan cache.
     session.set_engine("wireframe").expect("registered engine");
     session.query(sparql).expect("query evaluates");
+    let stats = session.stats();
     println!(
         "\nprepared-query cache: {} hits, {} misses",
-        session.cache_hits(),
-        session.cache_misses()
+        stats.cache_hits, stats.cache_misses
     );
 
     println!("\nthe {} embeddings:", wf.embedding_count());

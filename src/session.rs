@@ -399,8 +399,8 @@ struct GraphState {
 /// The cache is **bounded**: at most [`Session::cache_capacity`] prepared
 /// plans (default [`DEFAULT_CACHE_CAPACITY`], tune with
 /// [`SessionConfig::cache_capacity`]) are kept, evicting LRU-style by a
-/// global logical clock; [`Session::cache_evictions`] counts evictions and
-/// [`Session::clear_cache`] empties the cache outright.
+/// global logical clock; [`ExecutorStats::cache_evictions`] counts evictions
+/// and [`Session::clear_cache`] empties the cache outright.
 ///
 /// # Dynamic graphs, epochs, and maintained views
 ///
@@ -415,12 +415,13 @@ struct GraphState {
 /// [`wireframe_api::MaintainedView`]), cached plans carry a **retained
 /// view** — the factorized answer graph kept as a first-class artifact —
 /// and cache hits are served by defactorizing the view on demand instead of
-/// re-running the whole pipeline ([`Session::view_serves`] counts these).
-/// Mutations then apply **footprint maintenance**: a batch's net
+/// re-running the whole pipeline ([`ExecutorStats::view_serves`] counts
+/// these). Mutations then apply **footprint maintenance**: a batch's net
 /// [`EdgeDelta`] is folded into every intersecting view in `O(delta)`
-/// ([`Session::plans_maintained`], [`Session::maintenance_frontier_nodes`],
-/// [`Session::maintenance_micros`]), and views are stamped with the epoch
-/// they were maintained to; staleness is verified against the reader's
+/// ([`ExecutorStats::plans_maintained`],
+/// [`ExecutorStats::maintenance_frontier_nodes`],
+/// [`ExecutorStats::maintenance_micros`]), and views are stamped with the
+/// epoch they were maintained to; staleness is verified against the reader's
 /// snapshot under the same `RwLock` that swaps graph versions. When the
 /// configured engine declines to materialize a view, the session consults
 /// the registry's capability matrix ([`wireframe_api::EngineCapabilities`])
@@ -430,10 +431,10 @@ struct GraphState {
 /// engines with no capable fallback, or a session configured with
 /// [`SessionConfig::maintenance`]`(false)` — fall back to the old policy:
 /// footprint **eviction** plus from-scratch re-evaluation (counted by
-/// [`Session::cache_invalidations`]). Non-intersecting plans are never
-/// touched either way ([`Session::mutation_cache_touches`]). Delta
+/// [`ExecutorStats::cache_invalidations`]). Non-intersecting plans are never
+/// touched either way ([`ExecutorStats::mutation_cache_touches`]). Delta
 /// compactions triggered by mutations are counted by
-/// [`Session::compactions`].
+/// [`ExecutorStats::compactions`].
 ///
 /// # Concurrency
 ///
@@ -861,9 +862,9 @@ impl Session {
     /// `limit`, the answer is served straight from the prefix in `O(k)` —
     /// no defactorization — and marked
     /// [`prefix_served`](wireframe_api::LimitInfo::prefix_served); the
-    /// session counts it in [`Session::prefix_hits`]. Otherwise the view is
-    /// defactorized (or the full pipeline runs) and the result truncated
-    /// canonically.
+    /// session counts it in [`ExecutorStats::prefix_hits`]. Otherwise the
+    /// view is defactorized (or the full pipeline runs) and the result
+    /// truncated canonically.
     pub fn query_limited(&self, text: &str, limit: usize) -> Result<Evaluation, WireframeError> {
         let (graph, epoch) = self.snapshot();
         let query = parse_query(text, graph.dictionary())?;
@@ -1336,7 +1337,7 @@ impl Session {
     /// clean — so a batch that nets out to nothing (or touches only
     /// predicates no cached plan mentions) performs zero cache work: no
     /// label re-resolution, no per-shard write locks, no entries touched
-    /// (see [`Session::mutation_cache_touches`]).
+    /// (see [`ExecutorStats::mutation_cache_touches`]).
     pub fn apply_mutation(&self, mutation: &Mutation) -> MutationOutcome {
         let mut state = self.state.write().unwrap_or_else(|e| e.into_inner());
         let (next, outcome) = state.graph.apply(mutation);
@@ -1416,90 +1417,6 @@ impl Session {
             mutation.push(MutationOp::Remove, s, p, o);
         }
         self.apply_mutation(&mutation)
-    }
-
-    /// Number of prepared-query cache hits so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Number of prepared-query cache misses so far.
-    pub fn cache_misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Number of cache entries evicted by the capacity bound so far.
-    pub fn cache_evictions(&self) -> u64 {
-        self.evictions.get()
-    }
-
-    /// Number of cache entries evicted by mutation footprints so far.
-    pub fn cache_invalidations(&self) -> u64 {
-        self.invalidations.get()
-    }
-
-    /// Number of retained views maintained in place by mutations so far
-    /// (each is one cached plan that kept serving instead of being evicted).
-    pub fn plans_maintained(&self) -> u64 {
-        self.maintained.get()
-    }
-
-    /// Total maintenance frontier (answer-graph nodes from which local
-    /// burnback/revival cascaded) across all maintained views so far.
-    pub fn maintenance_frontier_nodes(&self) -> u64 {
-        self.maintenance_frontier.get()
-    }
-
-    /// Total wall-clock spent maintaining views, in microseconds.
-    pub fn maintenance_micros(&self) -> u64 {
-        self.maintenance_micros_total.get()
-    }
-
-    /// Number of cached entries examined under a shard write lock by
-    /// mutation footprint passes. A mutation whose net footprint intersects
-    /// no cached plan leaves this unchanged — the zero-cache-work guarantee
-    /// the regression tests pin.
-    pub fn mutation_cache_touches(&self) -> u64 {
-        self.mutation_touches.get()
-    }
-
-    /// Number of evaluations served purely from a retained view
-    /// (defactorization only — no planning, no answer-graph generation).
-    pub fn view_serves(&self) -> u64 {
-        self.view_serves.get()
-    }
-
-    /// Number of view serves answered from a retained top-k prefix in
-    /// `O(k)` — no defactorization at all. A subset of
-    /// [`Session::view_serves`].
-    pub fn prefix_hits(&self) -> u64 {
-        self.prefix_hits.get()
-    }
-
-    /// Number of top-k prefix recomputes paid on priming or underflow
-    /// refills (removals drained the retained prefix below its bound).
-    pub fn prefix_refills(&self) -> u64 {
-        self.prefix_refills.get()
-    }
-
-    /// Number of top-k prefix full-recompute fallbacks: a batch churned too
-    /// much of the graph (or fanned out too many candidate rows) for the
-    /// incremental merge to beat re-deriving the prefix outright.
-    pub fn prefix_fallbacks(&self) -> u64 {
-        self.prefix_fallbacks.get()
-    }
-
-    /// Number of full pipeline runs (answer-graph generation) performed:
-    /// engine evaluations plus view materializations. The churn benchmark
-    /// compares this between the maintenance policies.
-    pub fn full_evaluations(&self) -> u64 {
-        self.full_evals.get()
-    }
-
-    /// Number of delta-store compactions triggered by this session's
-    /// mutations so far.
-    pub fn compactions(&self) -> u64 {
-        self.compactions.get()
     }
 
     /// Number of distinct prepared queries currently cached.
@@ -1643,7 +1560,6 @@ mod tests {
         let snap = session.metrics_snapshot();
         let stats = QueryExecutor::stats(&session);
         assert_eq!(stats.cache_hits, snap.counter(names::CACHE_HITS));
-        assert_eq!(stats.cache_hits, session.cache_hits());
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(
             snap.histogram(names::QUERY_LATENCY_US).unwrap().count,
@@ -1693,12 +1609,12 @@ mod tests {
         let session = Session::new(knows_graph());
         let text = "SELECT * WHERE { ?x :knows ?y . ?y :knows ?z . }";
         let first = session.query(text).unwrap();
-        assert_eq!(session.cache_misses(), 1);
-        assert_eq!(session.cache_hits(), 0);
+        assert_eq!(session.stats().cache_misses, 1);
+        assert_eq!(session.stats().cache_hits, 0);
 
         let second = session.query(text).unwrap();
-        assert_eq!(session.cache_misses(), 1, "no second preparation");
-        assert_eq!(session.cache_hits(), 1, "the cached plan was reused");
+        assert_eq!(session.stats().cache_misses, 1, "no second preparation");
+        assert_eq!(session.stats().cache_hits, 1, "the cached plan was reused");
         assert!(first.embeddings().same_answer(second.embeddings()));
 
         // An isomorphic query (renamed variables, reordered patterns, same
@@ -1706,7 +1622,7 @@ mod tests {
         // order-sensitive canonical form.
         let renamed = "SELECT ?a ?b ?c WHERE { ?b :knows ?c . ?a :knows ?b . }";
         let third = session.query(renamed).unwrap();
-        assert_eq!(session.cache_hits(), 2);
+        assert_eq!(session.stats().cache_hits, 2);
         assert_eq!(session.cached_queries(), 1);
         assert!(first.embeddings().same_answer(third.embeddings()));
     }
@@ -1723,8 +1639,12 @@ mod tests {
         let zx = session
             .query("SELECT ?z ?x WHERE { ?x :knows ?y . ?y :knows ?z . }")
             .unwrap();
-        assert_eq!(session.cache_misses(), 2, "distinct column orders miss");
-        assert_eq!(session.cache_hits(), 0);
+        assert_eq!(
+            session.stats().cache_misses,
+            2,
+            "distinct column orders miss"
+        );
+        assert_eq!(session.stats().cache_hits, 0);
 
         // The second result's columns are the first's, swapped.
         let mut a: Vec<_> = xz.embeddings().rows().map(|t| (t[0], t[1])).collect();
@@ -1777,7 +1697,7 @@ mod tests {
             ),
             "the colour-colliding disconnected query must not reuse the cycle's plan"
         );
-        assert_eq!(session.cache_hits(), 0, "collision was not a hit");
+        assert_eq!(session.stats().cache_hits, 0, "collision was not a hit");
     }
 
     #[test]
@@ -1787,7 +1707,11 @@ mod tests {
         session.query(text).unwrap();
         session.set_engine("relational").unwrap();
         session.query(text).unwrap();
-        assert_eq!(session.cache_misses(), 2, "each engine prepares its own");
+        assert_eq!(
+            session.stats().cache_misses,
+            2,
+            "each engine prepares its own"
+        );
         assert_eq!(session.cached_queries(), 2);
 
         session.clear_cache();
@@ -1857,8 +1781,9 @@ mod tests {
                 });
             }
         });
+        let stats = session.stats();
         assert_eq!(
-            session.cache_hits() + session.cache_misses(),
+            stats.cache_hits + stats.cache_misses,
             32,
             "every query is accounted a hit or a miss"
         );
@@ -1956,29 +1881,41 @@ mod tests {
         let likes_q = "SELECT * WHERE { ?x :likes ?y . }";
         session.query(knows_q).unwrap();
         session.query(likes_q).unwrap();
-        assert_eq!(session.cache_misses(), 2);
+        assert_eq!(session.stats().cache_misses, 2);
         assert_eq!(session.cached_queries(), 2);
 
         // Mutate `likes` only: the `knows` plan must survive.
         session.insert_triples([("bob", "likes", "pasta")]);
-        assert_eq!(session.cache_invalidations(), 1, "only the likes plan");
+        assert_eq!(
+            session.stats().cache_invalidations,
+            1,
+            "only the likes plan"
+        );
         assert_eq!(session.cached_queries(), 1);
-        assert_eq!(session.plans_maintained(), 0, "maintenance is off");
-        assert_eq!(session.mutation_cache_touches(), 1);
+        assert_eq!(session.stats().plans_maintained, 0, "maintenance is off");
+        assert_eq!(session.stats().mutation_cache_touches, 1);
 
-        let hits_before = session.cache_hits();
+        let hits_before = session.stats().cache_hits;
         let ev = session.query(knows_q).unwrap();
-        assert_eq!(session.cache_hits(), hits_before + 1, "knows plan kept");
+        assert_eq!(
+            session.stats().cache_hits,
+            hits_before + 1,
+            "knows plan kept"
+        );
         assert_eq!(ev.epoch(), 1);
-        let misses_before = session.cache_misses();
+        let misses_before = session.stats().cache_misses;
         let ev = session.query(likes_q).unwrap();
-        assert_eq!(session.cache_misses(), misses_before + 1, "re-prepared");
+        assert_eq!(
+            session.stats().cache_misses,
+            misses_before + 1,
+            "re-prepared"
+        );
         assert_eq!(ev.embedding_count(), 2, "epoch-correct answer");
 
         // A no-op batch evicts nothing.
-        let invalidations = session.cache_invalidations();
+        let invalidations = session.stats().cache_invalidations;
         session.insert_triples([("bob", "likes", "pasta")]);
-        assert_eq!(session.cache_invalidations(), invalidations);
+        assert_eq!(session.stats().cache_invalidations, invalidations);
     }
 
     #[test]
@@ -1996,29 +1933,33 @@ mod tests {
         let likes_q = "SELECT * WHERE { ?x :likes ?y . }";
         assert_eq!(session.query(knows_q).unwrap().embedding_count(), 1);
         session.query(likes_q).unwrap();
-        assert_eq!(session.full_evaluations(), 2, "one pipeline run each");
+        assert_eq!(session.stats().full_evaluations, 2, "one pipeline run each");
 
         session.insert_triples([("carol", "knows", "dave")]);
-        assert_eq!(session.plans_maintained(), 1, "the knows view");
-        assert_eq!(session.cache_invalidations(), 0, "nothing evicted");
+        assert_eq!(session.stats().plans_maintained, 1, "the knows view");
+        assert_eq!(session.stats().cache_invalidations, 0, "nothing evicted");
         assert_eq!(session.cached_queries(), 2, "both plans survive");
-        assert_eq!(session.mutation_cache_touches(), 1);
+        assert_eq!(session.stats().mutation_cache_touches, 1);
 
         // The maintained view serves the post-mutation answer as a cache
         // hit, with no new full evaluation.
-        let full_before = session.full_evaluations();
+        let full_before = session.stats().full_evaluations;
         let ev = session.query(knows_q).unwrap();
         assert_eq!(ev.epoch(), 1);
         assert_eq!(ev.embedding_count(), 2, "the new 2-chain appears");
         let info = ev.maintenance.expect("served from a maintained view");
         assert_eq!(info.maintained_epoch, 1);
         assert_eq!(info.passes, 1);
-        assert_eq!(session.full_evaluations(), full_before, "phase two only");
-        assert!(session.view_serves() >= 1);
+        assert_eq!(
+            session.stats().full_evaluations,
+            full_before,
+            "phase two only"
+        );
+        assert!(session.stats().view_serves >= 1);
 
         // Removal maintains too.
         session.remove_triples([("alice", "knows", "bob")]);
-        assert_eq!(session.plans_maintained(), 2);
+        assert_eq!(session.stats().plans_maintained, 2);
         let ev = session.query(knows_q).unwrap();
         assert_eq!(ev.epoch(), 2);
         assert_eq!(ev.embedding_count(), 1, "bob's chain is gone");
@@ -2040,24 +1981,32 @@ mod tests {
 
         // `likes` and the brand-new `admires` intersect no cached footprint.
         session.insert_triples([("bob", "likes", "pasta"), ("bob", "admires", "carol")]);
-        assert_eq!(session.mutation_cache_touches(), 0, "zero entries touched");
-        assert_eq!(session.cache_invalidations(), 0);
-        assert_eq!(session.plans_maintained(), 0);
+        assert_eq!(
+            session.stats().mutation_cache_touches,
+            0,
+            "zero entries touched"
+        );
+        assert_eq!(session.stats().cache_invalidations, 0);
+        assert_eq!(session.stats().plans_maintained, 0);
         assert_eq!(session.cached_queries(), 1, "the knows plan is intact");
 
         // A batch that nets out to nothing (set semantics) is free too,
         // even over an intersecting predicate.
         session.insert_triples([("alice", "knows", "bob")]); // already present
-        assert_eq!(session.mutation_cache_touches(), 0);
+        assert_eq!(session.stats().mutation_cache_touches, 0);
 
         // And the untouched plan keeps serving from its retained view: no
         // new full evaluation even though the epoch advanced past the
         // view's stamp (non-intersecting epochs cannot stale a view).
-        let hits = session.cache_hits();
-        let full = session.full_evaluations();
+        let hits = session.stats().cache_hits;
+        let full = session.stats().full_evaluations;
         let ev = session.query(knows_q).unwrap();
-        assert_eq!(session.cache_hits(), hits + 1);
-        assert_eq!(session.full_evaluations(), full, "served from the view");
+        assert_eq!(session.stats().cache_hits, hits + 1);
+        assert_eq!(
+            session.stats().full_evaluations,
+            full,
+            "served from the view"
+        );
         assert_eq!(ev.epoch(), 2, "one real batch plus one no-op batch");
         assert!(ev.maintenance.is_some());
     }
@@ -2067,12 +2016,16 @@ mod tests {
         let session = Session::new(knows_graph());
         let text = "SELECT ?x ?z WHERE { ?x :knows ?y . ?y :knows ?z . }";
         let first = session.query(text).unwrap();
-        assert_eq!(session.full_evaluations(), 1);
-        assert_eq!(session.view_serves(), 0, "the miss ran the pipeline");
+        assert_eq!(session.stats().full_evaluations, 1);
+        assert_eq!(session.stats().view_serves, 0, "the miss ran the pipeline");
 
         let second = session.query(text).unwrap();
-        assert_eq!(session.full_evaluations(), 1, "no second pipeline run");
-        assert_eq!(session.view_serves(), 1);
+        assert_eq!(
+            session.stats().full_evaluations,
+            1,
+            "no second pipeline run"
+        );
+        assert_eq!(session.stats().view_serves, 1);
         assert!(first.embeddings().same_answer(second.embeddings()));
         assert!(second.maintenance.is_some(), "view-served answers say so");
         assert_eq!(
@@ -2086,8 +2039,8 @@ mod tests {
             Session::from_config(knows_graph(), SessionConfig::new().engine("relational")).unwrap();
         baseline.query(text).unwrap();
         baseline.query(text).unwrap();
-        assert_eq!(baseline.view_serves(), 0);
-        assert_eq!(baseline.full_evaluations(), 2);
+        assert_eq!(baseline.stats().view_serves, 0);
+        assert_eq!(baseline.stats().full_evaluations, 2);
     }
 
     #[test]
@@ -2105,13 +2058,21 @@ mod tests {
         let info = first.limited.expect("limited answers carry LimitInfo");
         assert!(info.truncated, "3 rows exist, 2 were served");
         assert!(info.prefix_served);
-        assert_eq!(session.prefix_refills(), 1, "priming counts as a refill");
+        assert_eq!(
+            session.stats().prefix_refills,
+            1,
+            "priming counts as a refill"
+        );
 
         // Hits are O(k): no defactorization, the prefix-hit counter moves.
         let second = session.query(text).unwrap();
         assert!(second.limited.unwrap().prefix_served);
-        assert_eq!(session.prefix_hits(), 2, "miss and hit both prefix-served");
-        assert_eq!(session.view_serves(), 1);
+        assert_eq!(
+            session.stats().prefix_hits,
+            2,
+            "miss and hit both prefix-served"
+        );
+        assert_eq!(session.stats().view_serves, 1);
 
         // The served rows are the canonical first k of the full answer.
         let full = Session::new(knows_graph()).query(text).unwrap();
@@ -2130,11 +2091,11 @@ mod tests {
         let info = wide.limited.unwrap();
         assert!(info.prefix_served);
         assert!(!info.truncated, "all three rows fit in the grown prefix");
-        assert_eq!(session.prefix_refills(), 2, "growing k re-primes");
+        assert_eq!(session.stats().prefix_refills, 2, "growing k re-primes");
 
         // Mutations keep the prefix serving, and the gauge reads the level.
         session.insert_triples([("aaron", "knows", "alice")]);
-        assert_eq!(session.plans_maintained(), 1);
+        assert_eq!(session.stats().plans_maintained, 1);
         let third = session.query(text).unwrap();
         assert!(third.limited.unwrap().prefix_served);
         let fresh = {
@@ -2159,7 +2120,7 @@ mod tests {
         );
         assert_eq!(
             QueryExecutor::stats(&session).prefix_hits,
-            session.prefix_hits()
+            session.stats().prefix_hits
         );
     }
 
@@ -2170,23 +2131,23 @@ mod tests {
                 .unwrap();
         let text = "SELECT ?x ?z WHERE { ?x :knows ?y . ?y :knows ?z . }";
         assert!(session.prime(text).unwrap(), "a view is retained");
-        assert_eq!(session.full_evaluations(), 1, "phase one ran once");
-        assert_eq!(session.view_serves(), 0, "nothing was answered");
+        assert_eq!(session.stats().full_evaluations, 1, "phase one ran once");
+        assert_eq!(session.stats().view_serves, 0, "nothing was answered");
         assert!(session.prime(text).unwrap(), "idempotent, already retained");
-        assert_eq!(session.full_evaluations(), 1);
+        assert_eq!(session.stats().full_evaluations, 1);
 
         // The primed view is maintained by mutations and serves directly.
         session.insert_triples([("dave", "knows", "erin")]);
-        assert_eq!(session.plans_maintained(), 1);
+        assert_eq!(session.stats().plans_maintained, 1);
         let ev = session.query(text).unwrap();
         assert_eq!(ev.embedding_count(), 3, "the new 2-chain appears");
-        assert_eq!(session.full_evaluations(), 1, "served from the view");
+        assert_eq!(session.stats().full_evaluations, 1, "served from the view");
 
         // Non-maintaining engines prime the plan only.
         let baseline =
             Session::from_config(knows_graph(), SessionConfig::new().engine("sortmerge")).unwrap();
         assert!(!baseline.prime(text).unwrap());
-        assert_eq!(baseline.cache_misses(), 1, "the plan is cached");
+        assert_eq!(baseline.stats().cache_misses, 1, "the plan is cached");
 
         // Unparsable text errors instead of silently doing nothing.
         assert!(session.prime("SELECT WHERE").is_err());
@@ -2213,7 +2174,11 @@ mod tests {
         let q = "SELECT * WHERE { ?x :A ?e . ?x :B ?z . ?e :C ?y . ?z :D ?y . }";
         assert_eq!(session.query(q).unwrap().embedding_count(), 1);
         let ev = session.query(q).unwrap();
-        assert_eq!(session.view_serves(), 1, "the fallback view serves hits");
+        assert_eq!(
+            session.stats().view_serves,
+            1,
+            "the fallback view serves hits"
+        );
         assert_eq!(
             ev.engine, "wco",
             "answers name the engine that built the view"
@@ -2221,8 +2186,8 @@ mod tests {
 
         // Intersecting mutations maintain the fallback view in place.
         session.insert_triples([("7", "A", "8")]);
-        assert_eq!(session.plans_maintained(), 1);
-        assert_eq!(session.cache_invalidations(), 0, "no eviction");
+        assert_eq!(session.stats().plans_maintained, 1);
+        assert_eq!(session.stats().cache_invalidations, 0, "no eviction");
         let ev = session.query(q).unwrap();
         assert_eq!(ev.epoch(), 1);
         assert_eq!(
@@ -2334,10 +2299,14 @@ mod tests {
             .with_store(StoreKind::Delta)
             .with_compaction_threshold(0.0);
         let session = Session::new(graph);
-        assert_eq!(session.compactions(), 0);
+        assert_eq!(session.stats().compactions, 0);
         session.insert_triples([("x", "knows", "y")]);
         session.remove_triples([("x", "knows", "y")]);
-        assert_eq!(session.compactions(), 2, "threshold 0.0 compacts per batch");
+        assert_eq!(
+            session.stats().compactions,
+            2,
+            "threshold 0.0 compacts per batch"
+        );
         let graph = session.graph();
         assert_eq!(graph.delta_stats(), Some((0, 0.0)));
     }
@@ -2353,19 +2322,23 @@ mod tests {
         let q3 = "SELECT ?x WHERE { ?x :knows alice . }";
         session.query(q1).unwrap();
         session.query(q2).unwrap();
-        assert_eq!(session.cache_evictions(), 0);
+        assert_eq!(session.stats().cache_evictions, 0);
         session.query(q1).unwrap(); // refresh q1: q2 becomes the LRU
         session.query(q3).unwrap();
         assert_eq!(session.cached_queries(), 2, "capacity holds");
-        assert_eq!(session.cache_evictions(), 1);
+        assert_eq!(session.stats().cache_evictions, 1);
 
         // q1 survived (it was refreshed); q2 was evicted.
-        let hits = session.cache_hits();
+        let hits = session.stats().cache_hits;
         session.query(q1).unwrap();
-        assert_eq!(session.cache_hits(), hits + 1, "q1 still cached");
-        let misses = session.cache_misses();
+        assert_eq!(session.stats().cache_hits, hits + 1, "q1 still cached");
+        let misses = session.stats().cache_misses;
         session.query(q2).unwrap();
-        assert_eq!(session.cache_misses(), misses + 1, "q2 was the LRU victim");
+        assert_eq!(
+            session.stats().cache_misses,
+            misses + 1,
+            "q2 was the LRU victim"
+        );
 
         // Unbounded caches never evict.
         let unbounded =
@@ -2373,7 +2346,7 @@ mod tests {
         for q in [q1, q2, q3] {
             unbounded.query(q).unwrap();
         }
-        assert_eq!(unbounded.cache_evictions(), 0);
+        assert_eq!(unbounded.stats().cache_evictions, 0);
         assert_eq!(unbounded.cached_queries(), 3);
     }
 
@@ -2417,7 +2390,11 @@ mod tests {
         )
         .unwrap();
         session.insert_triples([("x", "knows", "y")]);
-        assert_eq!(session.compactions(), 1, "threshold 0.0 compacts per batch");
+        assert_eq!(
+            session.stats().compactions,
+            1,
+            "threshold 0.0 compacts per batch"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! engines it wraps.
 
 use wireframe::datagen::{full_workload, generate, YagoConfig};
-use wireframe::{default_registry, EngineConfig, Session};
+use wireframe::{default_registry, EngineConfig, QueryExecutor, Session};
 
 #[test]
 fn every_registered_engine_agrees_on_every_workload_shape() {
@@ -107,9 +107,13 @@ fn session_answers_match_direct_engine_runs() {
     }
     // A second pass over a query already seen by an engine reuses its
     // prepared plan instead of preparing again.
-    let misses_before = session.cache_misses();
+    let misses_before = session.stats().cache_misses;
     session.set_engine("wireframe").unwrap();
     session.execute(&workload[0].query).unwrap();
-    assert!(session.cache_hits() > 0, "second pass hits the cache");
-    assert_eq!(session.cache_misses(), misses_before, "nothing re-prepared");
+    assert!(session.stats().cache_hits > 0, "second pass hits the cache");
+    assert_eq!(
+        session.stats().cache_misses,
+        misses_before,
+        "nothing re-prepared"
+    );
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use wireframe::datagen::{full_workload, generate, YagoConfig};
 use wireframe::query::EmbeddingSet;
-use wireframe::Session;
+use wireframe::{QueryExecutor, Session};
 
 /// Two workload passes per worker, each worker starting at its own offset:
 /// at any moment the workers collectively issue both identical queries
@@ -50,13 +50,14 @@ fn concurrent_sessions_match_sequential_answers_and_account_every_query() {
     });
 
     let issued = (THREADS * PASSES * workload.len()) as u64;
+    let stats = session.stats();
     assert_eq!(
-        session.cache_hits() + session.cache_misses(),
+        stats.cache_hits + stats.cache_misses,
         issued,
         "every issued query is exactly one cache hit or one cache miss"
     );
     assert!(
-        session.cache_hits() > 0,
+        stats.cache_hits > 0,
         "repeated queries must hit the shared plan cache"
     );
     // Some workload queries are isomorphic to each other (e.g. two chain
