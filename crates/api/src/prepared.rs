@@ -1,10 +1,9 @@
 //! Prepared queries: a conjunctive query after engine-side preparation.
 
 use std::any::Any;
-use std::sync::OnceLock;
 
 use wireframe_graph::PredId;
-use wireframe_query::canonical::{plan_cache_key, predicate_footprint, QuerySignature};
+use wireframe_query::canonical::predicate_footprint;
 use wireframe_query::{ConjunctiveQuery, QueryGraph};
 
 /// A query prepared by one engine: the resolved [`ConjunctiveQuery`],
@@ -18,7 +17,6 @@ use wireframe_query::{ConjunctiveQuery, QueryGraph};
 pub struct PreparedQuery {
     engine: String,
     query: ConjunctiveQuery,
-    signature: OnceLock<QuerySignature>,
     cyclic: bool,
     footprint: Vec<PredId>,
     payload: Option<Box<dyn Any + Send + Sync>>,
@@ -26,16 +24,13 @@ pub struct PreparedQuery {
 
 impl PreparedQuery {
     /// Prepares `query` for `engine` with no plan payload, computing the
-    /// cyclicity of the query graph and its predicate footprint (the
-    /// canonical form is computed lazily on first use of
-    /// [`PreparedQuery::signature`]).
+    /// cyclicity of the query graph and its predicate footprint.
     pub fn new(engine: impl Into<String>, query: ConjunctiveQuery) -> Self {
         let cyclic = QueryGraph::new(&query).is_cyclic();
         let footprint = predicate_footprint(&query);
         PreparedQuery {
             engine: engine.into(),
             query,
-            signature: OnceLock::new(),
             cyclic,
             footprint,
             payload: None,
@@ -56,15 +51,6 @@ impl PreparedQuery {
     /// The underlying conjunctive query.
     pub fn query(&self) -> &ConjunctiveQuery {
         &self.query
-    }
-
-    /// The order-sensitive canonical form of the query
-    /// (`wireframe_query::canonical::plan_cache_key`): stable across variable
-    /// renaming and pattern reordering, but *not* across SELECT-clause column
-    /// reordering — which makes it safe to key a plan cache on, unlike the
-    /// miner's sorted `signature`. Computed lazily and memoized.
-    pub fn signature(&self) -> &QuerySignature {
-        self.signature.get_or_init(|| plan_cache_key(&self.query))
     }
 
     /// Whether the query graph is cyclic.
@@ -90,7 +76,6 @@ impl std::fmt::Debug for PreparedQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedQuery")
             .field("engine", &self.engine)
-            .field("signature", &self.signature.get().map(|s| s.as_str()))
             .field("cyclic", &self.cyclic)
             .field("has_payload", &self.payload.is_some())
             .finish()
@@ -121,7 +106,6 @@ mod tests {
         assert_eq!(p.footprint(), &[PredId(0)], "the single predicate p");
         assert_eq!(p.plan::<Vec<usize>>(), Some(&vec![1usize, 2, 3]));
         assert!(p.plan::<String>().is_none(), "wrong type downcasts to None");
-        assert!(!p.signature().as_str().is_empty());
         assert!(format!("{p:?}").contains("has_payload: true"));
     }
 

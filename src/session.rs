@@ -41,13 +41,15 @@ use wireframe_api::{
     ExecutorStats, MaintainedView, PreparedQuery, QueryExecutor, WireframeError,
 };
 use wireframe_graph::{EdgeDelta, Graph, Mutation, MutationOp, MutationOutcome, PredId, StoreKind};
-use wireframe_query::canonical::{footprints_intersect, isomorphic, plan_cache_key};
+use wireframe_query::canonical::{
+    footprints_intersect, isomorphic, plan_cache_key, QuerySignature,
+};
 use wireframe_query::{parse_query, ConjunctiveQuery};
 
 use crate::registry::default_registry;
 
 /// Cache key: (engine name, colour-refinement form of the query).
-type CacheKey = (String, String);
+type CacheKey = (String, QuerySignature);
 
 /// The retained-view state of one cached plan.
 ///
@@ -1291,10 +1293,7 @@ impl Session {
         epoch: u64,
         query: &ConjunctiveQuery,
     ) -> Result<(Arc<PreparedQuery>, SharedViewSlot), WireframeError> {
-        let key = (
-            self.engine.clone(),
-            plan_cache_key(query).as_str().to_owned(),
-        );
+        let key = (self.engine.clone(), plan_cache_key(query));
         if let Some(found) = self.cache.find(&key, query) {
             self.hits.inc();
             return Ok(found);
@@ -2201,10 +2200,7 @@ mod tests {
     /// The `Arc` a cached query's slot currently retains.
     fn retained_view(session: &Session, text: &str) -> Arc<dyn MaintainedView> {
         let query = parse_query(text, session.graph().dictionary()).unwrap();
-        let key = (
-            session.engine.clone(),
-            plan_cache_key(&query).as_str().to_owned(),
-        );
+        let key = (session.engine.clone(), plan_cache_key(&query));
         let (_, slot) = session
             .cache
             .find(&key, &query)
