@@ -931,7 +931,7 @@ mod tests {
             snapshot: registry.snapshot(),
         });
         round_trip_request(Request::Metrics { id: 8 });
-        // An empty snapshot (counters-only registry, nothing recorded).
+        // An empty snapshot (nothing recorded).
         round_trip_response(Response::Metrics {
             id: 9,
             epoch: 0,

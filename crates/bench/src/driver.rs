@@ -1,7 +1,8 @@
 //! The `wfbench` closed-loop concurrent driver.
 //!
-//! Models the ROADMAP's serving scenario rather than the paper's one-query
-//! prototype runs: one executor per engine over a shared graph, `threads`
+//! Both `wfbench` lanes (sharded, cyclic) measure through it. Models a
+//! serving scenario rather than the paper's one-query prototype
+//! runs: one executor per engine over a shared graph, `threads`
 //! worker threads issuing queries back-to-back (closed loop — a worker sends
 //! its next query as soon as the previous answer returns), every worker
 //! cycling through the whole workload from a different starting offset so
@@ -19,6 +20,7 @@
 use std::time::Instant;
 
 use wireframe::{QueryExecutor, Timings, WireframeError};
+use wireframe_api::obs::percentile_sorted;
 use wireframe_datagen::BenchmarkQuery;
 use wireframe_query::Shape;
 
@@ -67,10 +69,6 @@ impl QueryAccumulator {
 /// Delegates to the shared implementation in the telemetry crate so the
 /// bench driver and the metrics registry report identical quantiles.
 pub use wireframe_api::obs::percentile_ms;
-
-/// Nearest-rank percentile of an already ascending-sorted sample list, so
-/// one sort serves every percentile of a query's report.
-pub(crate) use wireframe_api::obs::percentile_sorted;
 
 /// The workload-facing shape name used in reports.
 pub fn shape_name(shape: Shape) -> &'static str {
@@ -209,8 +207,6 @@ pub fn run_engine(
         cache_hits: after.cache_hits - before.cache_hits,
         cache_misses: after.cache_misses - before.cache_misses,
         queries,
-        churn: None,
-        serve: None,
     })
 }
 

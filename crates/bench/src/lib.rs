@@ -24,11 +24,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod churn;
 pub mod cyclic;
 pub mod driver;
 pub mod report;
-pub mod servenet;
 pub mod sharded;
 
 use std::time::{Duration, Instant};

@@ -1,9 +1,9 @@
 //! Schema back-compat gate: every baseline committed under
 //! `bench/baselines/` must parse with the current report reader,
 //! whatever schema version it was written at — otherwise bumping
-//! `SCHEMA_VERSION` silently disables the CI perf gates.
+//! `SCHEMA_VERSION` silently disables the CI gates.
 
-use wireframe_bench::report::{BenchReport, SCHEMA_VERSION};
+use wireframe_bench::report::BenchReport;
 
 fn baselines_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baselines")
@@ -12,7 +12,7 @@ fn baselines_dir() -> std::path::PathBuf {
 #[test]
 fn every_committed_baseline_parses() {
     let dir = baselines_dir();
-    let mut parsed = 0usize;
+    let mut parsed = Vec::new();
     for entry in std::fs::read_dir(&dir).expect("bench/baselines exists") {
         let path = entry.expect("readable directory entry").path();
         if path.extension().and_then(|e| e.to_str()) != Some("json") {
@@ -23,34 +23,17 @@ fn every_committed_baseline_parses() {
         let report = BenchReport::from_json(&text)
             .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
         assert!(
-            (1..=SCHEMA_VERSION).contains(&report.schema_version),
-            "{}: schema_version {} out of the supported range",
-            path.display(),
-            report.schema_version
-        );
-        assert!(
             !report.engines.is_empty(),
             "{}: a baseline without engines gates nothing",
             path.display()
         );
-        parsed += 1;
+        parsed.push(path.file_name().unwrap().to_string_lossy().into_owned());
     }
-    // The gate files the CI workflow relies on must all be present (new
-    // baselines may be added freely; these must not silently vanish).
-    for name in [
-        "smoke.json",
-        "churn.json",
-        "churn_reeval.json",
-        "serve_net.json",
-        "sharded.json",
-        "cyclic.json",
-    ] {
-        assert!(
-            dir.join(name).is_file(),
-            "bench/baselines/{name} is missing"
-        );
-    }
-    assert!(parsed >= 6, "parsed only {parsed} baselines");
+    // Exactly the two files the CI gates run against: a missing one would
+    // silently disable its gate, an extra one would be a baseline nothing
+    // runs.
+    parsed.sort();
+    assert_eq!(parsed, ["cyclic.json", "sharded.json"]);
 }
 
 #[test]
@@ -80,18 +63,4 @@ fn the_cyclic_baseline_records_a_generic_join_advantage() {
         wco.qps,
         tri.qps
     );
-}
-
-#[test]
-fn the_serve_net_baseline_records_a_serve_section() {
-    let text = std::fs::read_to_string(baselines_dir().join("serve_net.json"))
-        .expect("serve_net.json is committed");
-    let report = BenchReport::from_json(&text).expect("serve_net.json parses");
-    assert_eq!(report.scenario, "serve-net");
-    let serve = report.engines[0]
-        .serve
-        .as_ref()
-        .expect("the serve-net baseline carries a serve section");
-    assert!(serve.requests > 0);
-    assert_eq!(serve.queries + serve.mutations, serve.requests);
 }

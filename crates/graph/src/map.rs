@@ -9,7 +9,7 @@
 //! the measured point of comparison for [`CsrStore`](crate::csr::CsrStore) —
 //! whose sorted, contiguous arrays turn those same operations into slices,
 //! binary searches, and galloping intersections — see the `store_build`
-//! bench and the CI perf gate, which run both.
+//! bench, which builds both.
 //!
 //! Because the neighbor vectors are unsorted, this backend reports
 //! [`neighbors_sorted`](crate::store::GraphStore::neighbors_sorted) as

@@ -133,19 +133,13 @@ impl HistogramCore {
 }
 
 /// A fixed-bucket log-linear latency histogram (microseconds).
-///
-/// A disabled handle (`wfbench --obs off`, [`Registry::counters_only`])
-/// carries no storage and records are no-ops, so the A/B overhead flag
-/// removes histogram costs without touching call sites.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Option<Arc<HistogramCore>>);
+#[derive(Debug, Clone)]
+pub struct Histogram(Arc<HistogramCore>);
 
 impl Histogram {
     /// Records one value (clamped into the saturating top bucket).
     pub fn record(&self, value: u64) {
-        if let Some(core) = &self.0 {
-            core.record(value);
-        }
+        self.0.record(value);
     }
 
     /// Records a duration as whole microseconds.
@@ -153,11 +147,9 @@ impl Histogram {
         self.record(d.as_micros().min(u64::MAX as u128) as u64);
     }
 
-    /// Number of recorded values (0 for a disabled handle).
+    /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |core| core.count.load(Ordering::Relaxed))
+        self.0.count.load(Ordering::Relaxed)
     }
 }
 
@@ -340,7 +332,6 @@ struct RegistryInner {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCore>>>,
-    histograms_enabled: bool,
 }
 
 /// The named-metric registry one layer (session, cluster, server) owns.
@@ -348,41 +339,15 @@ struct RegistryInner {
 /// Handle creation ([`Registry::counter`] …) takes a short lock and is done
 /// once at construction; recording through a handle is lock-free. Clones
 /// share the same storage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Arc<RegistryInner>,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
-}
-
 impl Registry {
-    /// A registry with every metric kind enabled.
+    /// An empty registry.
     pub fn new() -> Self {
-        Registry {
-            inner: Arc::new(RegistryInner {
-                histograms_enabled: true,
-                ..RegistryInner::default()
-            }),
-        }
-    }
-
-    /// A registry whose histogram handles are no-ops (`--obs off`).
-    /// Counters and gauges stay live: they are functionally load-bearing
-    /// (benchmark baselines compare them exactly), only the distribution
-    /// tracking is optional.
-    pub fn counters_only() -> Self {
-        Registry {
-            inner: Arc::new(RegistryInner::default()),
-        }
-    }
-
-    /// Whether histogram handles record (false under `--obs off`).
-    pub fn histograms_enabled(&self) -> bool {
-        self.inner.histograms_enabled
+        Registry::default()
     }
 
     fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -401,17 +366,13 @@ impl Registry {
         Gauge(Arc::clone(map.entry(name.to_owned()).or_default()))
     }
 
-    /// The histogram named `name`, created empty on first use (a no-op
-    /// handle when the registry is [`Registry::counters_only`]).
+    /// The histogram named `name`, created empty on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        if !self.inner.histograms_enabled {
-            return Histogram(None);
-        }
         let mut map = Self::lock(&self.inner.histograms);
-        Histogram(Some(Arc::clone(
+        Histogram(Arc::clone(
             map.entry(name.to_owned())
                 .or_insert_with(|| Arc::new(HistogramCore::new())),
-        )))
+        ))
     }
 
     /// Exports every metric as plain data. Concurrent recording keeps
@@ -624,21 +585,6 @@ mod tests {
         let mut merged = hist.clone();
         merged.merge(&HistogramSnapshot::default());
         assert_eq!(merged, hist);
-    }
-
-    #[test]
-    fn counters_only_registry_disables_histograms_not_counters() {
-        let registry = Registry::counters_only();
-        assert!(!registry.histograms_enabled());
-        let h = registry.histogram("lat");
-        h.record(123);
-        h.record_duration(Duration::from_millis(5));
-        assert_eq!(h.count(), 0, "no-op handle records nothing");
-        let c = registry.counter("c");
-        c.inc();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("c"), 1, "counters stay live");
-        assert!(snap.histograms.is_empty());
     }
 
     #[test]

@@ -92,12 +92,9 @@ impl Span {
 /// Tracer knobs, owned by the layer that builds the [`Tracer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TracerConfig {
-    /// Master switch: disabled, [`Tracer::wants`] is always false and
-    /// nothing is recorded (`--obs off`).
-    pub enabled: bool,
     /// Keep 1 in `sample_every` completed spans (1 = every span, for
-    /// one-shot `--trace` runs; the serving default keeps overhead under
-    /// the serve-net lane's 2 % budget).
+    /// one-shot `--trace` runs; the serving default is 64, so 63 queries in
+    /// 64 build no span tree).
     pub sample_every: u64,
     /// Emit any span tree at least this slow to the slow-query log
     /// (stderr), regardless of sampling. 0 disables the log.
@@ -109,7 +106,6 @@ pub struct TracerConfig {
 impl Default for TracerConfig {
     fn default() -> Self {
         TracerConfig {
-            enabled: true,
             sample_every: 64,
             slow_micros: 0,
             ring_capacity: 128,
@@ -146,9 +142,6 @@ impl Tracer {
     /// slow-query log. Call once per query *after* it returns — building
     /// the tree only happens when this says so.
     pub fn wants(&self, duration: Duration) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
         let sampled = self
             .ticks
             .fetch_add(1, Ordering::Relaxed)
@@ -165,9 +158,6 @@ impl Tracer {
     /// oldest beyond capacity) and emits it to the slow-query log (stderr)
     /// when it crosses the threshold.
     pub fn record(&self, span: Span) {
-        if !self.config.enabled {
-            return;
-        }
         if self.is_slow(Duration::from_micros(span.duration_micros)) {
             eprintln!(
                 "[slow-query ≥{}µs]\n{}",
@@ -227,17 +217,6 @@ mod tests {
         assert!(tracer.wants(Duration::from_millis(6)), "slow always wanted");
         assert!(tracer.is_slow(Duration::from_millis(5)));
         assert!(!tracer.is_slow(Duration::from_millis(4)));
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let tracer = Tracer::new(TracerConfig {
-            enabled: false,
-            ..TracerConfig::default()
-        });
-        assert!(!tracer.wants(Duration::from_secs(10)));
-        tracer.record(Span::new("query", Duration::from_secs(10)));
-        assert!(tracer.recent().is_empty());
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!                             Prometheus-style metrics rendering (port 0 = ephemeral)
 //!   --slow-query-ms <N>       log completed span trees of queries slower
 //!                             than N ms to stderr (default off)
-//!   --obs on|off              telemetry histograms/spans (default on;
-//!                             counters stay live either way)
 //! ```
+//!
+//! Telemetry (counters, latency histograms, sampled spans) is always on.
 //!
 //! The server runs until a client sends a `shutdown` request or stdin
 //! reaches EOF (`wfserve data.nt < /dev/null` serves until killed — with
@@ -51,7 +51,7 @@ fn usage() -> &'static str {
     "usage: wfserve <triples-file> [--addr host:port] [--engine <name>] \
      [--store csr|map|delta] [--workers N] [--queue-depth N] [--deadline-ms N] \
      [--batch-window-ms N] [--threads N] [--shards N] [--metrics-addr host:port] \
-     [--slow-query-ms N] [--obs on|off]"
+     [--slow-query-ms N]"
 }
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
@@ -97,13 +97,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             }
             "--slow-query-ms" => {
                 options.slow_query_ms = Some(number(&mut args, "--slow-query-ms")?)
-            }
-            "--obs" => {
-                options.config.obs = match args.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => return Err("--obs must be on or off".to_owned()),
-                }
             }
             "--shards" => {
                 options.shards = number(&mut args, "--shards")? as usize;
@@ -152,8 +145,7 @@ fn run() -> Result<(), String> {
     }
     let mut session_config = SessionConfig::new()
         .engine(&options.engine)
-        .engine_config(engine_config)
-        .obs(options.config.obs);
+        .engine_config(engine_config);
     if let Some(ms) = options.slow_query_ms {
         session_config = session_config.slow_query_ms(ms);
     }

@@ -16,8 +16,7 @@
 //!   deadlines), a write batcher coalescing concurrent mutations into one
 //!   maintenance pass, and per-epoch subscription fan-out driven by
 //!   [`wireframe::QueryExecutor::add_epoch_listener`],
-//! * [`Client`] — the blocking client the tests and the `serve-net` bench
-//!   lane drive real sockets with,
+//! * [`Client`] — the blocking client the tests drive real sockets with,
 //! * `wfserve` — the server binary.
 //!
 //! Wire payloads are the `wireframe_api::wire` types; the full schema with

@@ -75,10 +75,6 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Cap on a single frame's payload bytes.
     pub max_frame: usize,
-    /// Telemetry switch: `false` downgrades the server's registry to
-    /// counters-only (histograms become no-ops) — the `--obs off` A/B
-    /// lever for measuring instrumentation overhead.
-    pub obs: bool,
     /// When set, a second listener on this address answers HTTP GETs with
     /// a Prometheus-style text rendering of the merged metrics snapshot
     /// (`wfserve --metrics-addr`).
@@ -94,7 +90,6 @@ impl Default for ServeConfig {
             batch_window: Duration::from_millis(2),
             max_batch: 256,
             max_frame: frame::DEFAULT_MAX_FRAME,
-            obs: true,
             metrics_addr: None,
         }
     }
@@ -297,13 +292,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let (mut_tx, mut_rx) = mpsc::sync_channel(config.queue_depth.max(1));
         let (event_tx, event_rx) = mpsc::channel::<u64>();
-        // `--obs off` keeps counters live (they are plain relaxed atomics)
-        // but turns every histogram into a no-op handle.
-        let metrics = if config.obs {
-            Registry::new()
-        } else {
-            Registry::counters_only()
-        };
+        let metrics = Registry::new();
         let counters = Counters::new(&metrics);
         let shared = Arc::new(SharedState {
             executor: Arc::clone(&executor),

@@ -159,20 +159,13 @@ impl ShardedCluster {
                 Session::from_config(part, config.clone().engine(&engine).shard_id(i))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        // Same obs switch the per-shard sessions honour: counters always
-        // stay live, histograms drop to no-ops under `--obs off`.
-        let metrics = if config.obs.unwrap_or(true) {
-            Registry::new()
-        } else {
-            Registry::counters_only()
-        };
+        let metrics = Registry::new();
         let shards_gauge = metrics.gauge(names::CLUSTER_SHARDS);
         shards_gauge.set(shards.len() as u64);
         // Cluster queries never route through a shard session's query path,
         // so the cluster records its own scatter/merge span trees with the
         // same sampling knobs the sessions honour.
         let tracer = Tracer::new(TracerConfig {
-            enabled: config.obs.unwrap_or(true),
             sample_every: config.trace_sample.unwrap_or(64).max(1),
             slow_micros: config.slow_query_micros.unwrap_or(0),
             ..TracerConfig::default()

@@ -456,8 +456,8 @@ pub struct Session {
     config: EngineConfig,
     /// Whether mutations *maintain* retained views in place (the default).
     /// Off, every intersecting cache entry is evicted and re-evaluated from
-    /// scratch — the pre-maintenance behavior, kept selectable so the churn
-    /// benchmark can compare the two policies (`wfbench --maintenance`).
+    /// scratch and hits never serve from a retained view — kept selectable
+    /// because `wfbench --scenario cyclic` must time full evaluations.
     maintenance: bool,
     cache: ShardedPlanCache,
     /// The telemetry registry — the single source of truth behind
@@ -529,8 +529,9 @@ pub struct SessionConfig {
     pub engine_config: EngineConfig,
     /// `None` (the default) keeps mutation maintenance **on**: mutations
     /// update retained views in place. `Some(false)` evicts intersecting
-    /// views instead (the re-evaluation policy `wfbench --maintenance
-    /// reeval` measures against).
+    /// views instead and serves no hit from a retained view — what
+    /// `wfbench --scenario cyclic` sets so it times full evaluations of
+    /// both join strategies rather than the view cache.
     pub maintenance: Option<bool>,
     /// Prepared-plan cache bound in distinct plans. `None` = the default
     /// [`DEFAULT_CACHE_CAPACITY`]; `Some(0)` = unbounded.
@@ -538,20 +539,13 @@ pub struct SessionConfig {
     /// Delta-store compaction threshold override (overlay/base fraction).
     /// `None` keeps the graph's configured threshold.
     pub compaction_threshold: Option<f64>,
-    /// `None`/`Some(true)` (the default) keeps full observability on:
-    /// latency histograms record and query spans are sampled. `Some(false)`
-    /// (`--obs off`) drops both to bare counters — the A/B the serve-net
-    /// overhead gate measures. Counters and gauges always stay live; they
-    /// are functionally load-bearing (benchmark baselines compare them).
-    pub obs: Option<bool>,
     /// Slow-query threshold in microseconds: completed span trees of
     /// queries at least this slow are emitted to stderr regardless of
     /// sampling. `None`/`Some(0)` disables the slow-query log.
     pub slow_query_micros: Option<u64>,
     /// Span sampling rate: keep 1 in N completed query spans (`Some(1)` =
     /// every span, for `wfquery --trace`). `None` = the serving default
-    /// (1 in 64, which keeps tracing overhead under the serve-net lane's
-    /// 2 % budget).
+    /// (1 in 64).
     pub trace_sample: Option<u64>,
     /// Identity stamped on every query span as `shard=N`. Set by
     /// [`crate::ShardedCluster`] so spans surfaced through the cluster say
@@ -612,13 +606,6 @@ impl SessionConfig {
     /// fraction at which mutations compact the graph).
     pub fn compaction_threshold(mut self, threshold: f64) -> Self {
         self.compaction_threshold = Some(threshold);
-        self
-    }
-
-    /// Turns latency histograms and span tracing on (`true`, the default)
-    /// or off (`false`, counters only — `wfbench --obs off`).
-    pub fn obs(mut self, enabled: bool) -> Self {
-        self.obs = Some(enabled);
         self
     }
 
@@ -715,14 +702,8 @@ impl Session {
                 graph = Arc::new(Graph::clone(&graph).with_compaction_threshold(threshold));
             }
         }
-        let obs_on = config.obs.unwrap_or(true);
-        let metrics = if obs_on {
-            Registry::new()
-        } else {
-            Registry::counters_only()
-        };
+        let metrics = Registry::new();
         let tracer = Tracer::new(TracerConfig {
-            enabled: obs_on,
             sample_every: config.trace_sample.unwrap_or(64).max(1),
             slow_micros: config.slow_query_micros.unwrap_or(0),
             ..TracerConfig::default()
@@ -1576,19 +1557,6 @@ mod tests {
         for key in ["signature=", "engine=wireframe", "store=delta", "rows=2"] {
             assert!(rendered.contains(key), "missing {key} in {rendered}");
         }
-    }
-
-    #[test]
-    fn obs_off_drops_histograms_and_spans_but_keeps_counters() {
-        let session = Session::from_config(knows_graph(), SessionConfig::new().obs(false)).unwrap();
-        let q = "SELECT ?x WHERE { ?x :knows ?y . }";
-        session.query(q).unwrap();
-        session.query(q).unwrap();
-        let snap = session.metrics_snapshot();
-        assert!(snap.histograms.is_empty(), "no histograms under --obs off");
-        assert!(QueryExecutor::recent_spans(&session).is_empty());
-        assert_eq!(snap.counter(names::CACHE_HITS), 1, "counters stay live");
-        assert_eq!(QueryExecutor::stats(&session).cache_hits, 1);
     }
 
     #[test]
