@@ -60,7 +60,7 @@ pub use histogram::DegreeHistogram;
 pub use ids::{NodeId, PredId, Triple};
 pub use map::MapStore;
 pub use mutation::{EdgeDelta, Mutation, MutationOp, MutationOutcome};
-pub use ntriples::{load, load_into, parse_line, write};
+pub use ntriples::{load, load_into, load_with_store, parse_line, write};
 pub use partition::{partition_graph, route_mutation, shard_of};
 pub use stats::{BigramStats, Catalog, End, UnigramStats};
 pub use store::{Graph, GraphStore, StoreKind, DEFAULT_COMPACTION_THRESHOLD};

@@ -15,7 +15,7 @@ use std::io::{BufRead, Write};
 
 use crate::builder::GraphBuilder;
 use crate::error::GraphError;
-use crate::store::Graph;
+use crate::store::{Graph, StoreKind};
 
 /// Parses one line into `(subject, predicate, object)` labels.
 /// Returns `Ok(None)` for blank and comment lines.
@@ -115,11 +115,17 @@ pub fn load_into<R: BufRead>(reader: R, builder: &mut GraphBuilder) -> Result<us
     Ok(count)
 }
 
-/// Reads a whole graph from `reader`.
+/// Reads a whole graph from `reader` into the default storage backend.
 pub fn load<R: BufRead>(reader: R) -> Result<Graph, GraphError> {
+    load_with_store(reader, StoreKind::default())
+}
+
+/// Reads a whole graph from `reader`, indexed once, straight into the `kind`
+/// backend (no intermediate store to re-index from).
+pub fn load_with_store<R: BufRead>(reader: R, kind: StoreKind) -> Result<Graph, GraphError> {
     let mut builder = GraphBuilder::new();
     load_into(reader, &mut builder)?;
-    Ok(builder.build())
+    Ok(builder.build_with_store(kind))
 }
 
 /// Writes `graph` in the bare whitespace-separated syntax understood by [`load`].
@@ -199,6 +205,23 @@ mod tests {
         let g2 = load(Cursor::new(out)).unwrap();
         assert_eq!(g2.triple_count(), 3);
         assert_eq!(g2.predicate_count(), 2);
+    }
+
+    #[test]
+    fn load_with_store_indexes_into_the_requested_backend() {
+        let text = "a p b\nb p c\na q c\na p b\n<c> <q> <a> .\n";
+        let sorted_triples = |g: &Graph| {
+            let mut triples: Vec<_> = g.triples().collect();
+            triples.sort_unstable();
+            triples
+        };
+        let default = load(Cursor::new(text)).unwrap();
+        assert_eq!(default.store_kind(), StoreKind::default());
+        for kind in [StoreKind::Csr, StoreKind::Map, StoreKind::Delta] {
+            let g = load_with_store(Cursor::new(text), kind).unwrap();
+            assert_eq!(g.store_kind(), kind);
+            assert_eq!(sorted_triples(&g), sorted_triples(&default), "{kind:?}");
+        }
     }
 
     #[test]

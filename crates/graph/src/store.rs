@@ -17,7 +17,8 @@
 //!
 //! * [`CsrStore`](crate::csr::CsrStore) (`StoreKind::Csr`, the default) —
 //!   per-predicate forward/reverse adjacency in sorted, contiguous
-//!   `offsets`/`targets` arrays,
+//!   `targets` arrays, addressed through a rank directory over the nodes
+//!   that have edges,
 //! * [`MapStore`](crate::map::MapStore) (`StoreKind::Map`) — hash-map
 //!   adjacency, the seed-era edge-map layout, kept as the measured baseline,
 //! * [`DeltaStore`](crate::delta::DeltaStore) (`StoreKind::Delta`) — an
@@ -423,7 +424,9 @@ impl Graph {
     /// Re-indexes this graph's triples into a different storage backend,
     /// reusing the dictionary (identifiers stay stable) and keeping the
     /// configured compaction threshold. Returns `self` unchanged when the
-    /// backend already matches.
+    /// backend already matches. The source store is dropped once its edge
+    /// lists are collected, before the new one is built, so only one index
+    /// is alive at a time.
     pub fn with_store(self, kind: StoreKind) -> Self {
         if self.store_kind() == kind {
             return self;
@@ -432,8 +435,10 @@ impl Graph {
         for t in self.triples() {
             edges[t.predicate.index()].push((t.subject, t.object));
         }
+        drop(self.store);
+        drop(self.catalog);
         Graph::from_shared_parts(
-            Arc::clone(&self.dictionary),
+            self.dictionary,
             self.num_nodes,
             edges,
             kind,

@@ -123,7 +123,7 @@ fn run() -> Result<(), String> {
 
     let file = std::fs::File::open(&options.data_path)
         .map_err(|e| format!("cannot open {}: {e}", options.data_path))?;
-    let graph = wireframe::graph::load(std::io::BufReader::new(file))
+    let graph = wireframe::graph::load_with_store(std::io::BufReader::new(file), options.store)
         .map_err(|e| format!("cannot load {}: {e}", options.data_path))?;
     eprintln!(
         "loaded {}: {} triples, {} predicates, {} nodes · {} store",

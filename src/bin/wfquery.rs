@@ -264,7 +264,7 @@ fn run() -> Result<(), Failure> {
 
     let file = std::fs::File::open(&options.data_path)
         .map_err(|e| Failure::Usage(format!("cannot open {}: {e}", options.data_path)))?;
-    let graph = wireframe::graph::load(std::io::BufReader::new(file))
+    let graph = wireframe::graph::load_with_store(std::io::BufReader::new(file), options.store)
         .map_err(|e| Failure::Usage(format!("cannot load {}: {e}", options.data_path)))?;
     eprintln!(
         "loaded {}: {} triples, {} predicates, {} nodes · {} store",

@@ -525,7 +525,8 @@ pub struct SessionConfig {
     pub engine: Option<String>,
     /// The engine-level knobs (edge burnback, explain, threads, storage
     /// backend). A `store` selection re-indexes the session's graph at
-    /// construction, exactly like the former `Session::with_store`.
+    /// construction unless it is already indexed that way (load it with
+    /// `wireframe_graph::load_with_store` to build the served store once).
     pub engine_config: EngineConfig,
     /// `None` (the default) keeps mutation maintenance **on**: mutations
     /// update retained views in place. `Some(false)` evicts intersecting
@@ -691,15 +692,17 @@ impl Session {
             }
             None => registry.default_engine().unwrap_or("wireframe").to_owned(),
         };
+        // Re-indexing consumes the caller's graph when this is its only
+        // handle, so one store is alive at a time.
         let mut graph = graph.into();
         if let Some(kind) = config.engine_config.store {
             if graph.store_kind() != kind {
-                graph = Arc::new(Graph::clone(&graph).with_store(kind));
+                graph = Arc::new(Arc::unwrap_or_clone(graph).with_store(kind));
             }
         }
         if let Some(threshold) = config.compaction_threshold {
             if (graph.compaction_threshold() - threshold).abs() > f64::EPSILON {
-                graph = Arc::new(Graph::clone(&graph).with_compaction_threshold(threshold));
+                graph = Arc::new(Arc::unwrap_or_clone(graph).with_compaction_threshold(threshold));
             }
         }
         let metrics = Registry::new();
